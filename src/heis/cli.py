@@ -39,10 +39,10 @@ _DEFAULTS = {
     "energy-diverge": dict(trials=512, fine_step="2^-10", parameters={
         "steps": "2^-6,2^-7,2^-8,2^-9,2^-10", "wz_delta": "2^-3"}),
     "tube": dict(trials=100000, fine_step="2^-10", parameters={
-        "phi": "line 1 0", "epsilon": 0.9, "deltas": "0.5,0.35,0.25,0.18",
+        "phi": "line 1 0", "epsilon": 0.9, "deltas": "0.9,0.8,0.7,0.6",
         "min_accepted": 200, "budget": 1000000}),
     "girsanov-ratio": dict(trials=200000, fine_step="2^-10", parameters={
-        "phi": "line 1 0", "deltas": "1.0,0.7,0.5,0.35"}),
+        "phi": "line 1 0", "deltas": "1.0,0.8,0.7,0.6"}),
     "dds-diagnostics": dict(trials=100000, fine_step="2^-10", parameters={
         "times": "0.25,0.5,1.0"}),
     "helix": dict(trials=1, fine_step="2^-10", parameters={

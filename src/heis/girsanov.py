@@ -264,19 +264,24 @@ def tube_decay_experiment(
     All levels reuse one pass of trials, so acceptance sets are nested and the
     acceptance rate is exactly monotone in delta. If min_accepted is given,
     the raw trial count is raised (x10) until every level holds that many
-    accepted samples or the budget is exhausted.
+    accepted samples or the budget is exhausted. Each raise scans only the
+    new trials and appends them, which trial keying makes the same as a
+    single scan of all n.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     widest = max(float(d) for d in deltas)
     n = n_trials
+    dev, dist = _tube_scan(phi, n, rng, grid, widest)
     while True:
-        dev, dist = _tube_scan(phi, n, rng, grid, widest)
         counts = [int(np.sum(dev < d)) for d in deltas]
         if min_accepted is None or min(counts) >= min_accepted:
             break
         if budget is None or n >= budget:
             break
-        n = min(n * 10, budget)
+        n_prev, n = n, min(n * 10, budget)
+        more_dev, more_dist = _tube_scan(phi, n - n_prev, rng.child(n_prev), grid, widest)
+        dev = np.concatenate([dev, more_dev])
+        dist = np.concatenate([dist, more_dist])
     if max(counts) == 0:
         raise InsufficientAcceptanceError(0, n, f"all levels empty, phi={phi.label}")
     rows = []

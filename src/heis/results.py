@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 
 @dataclass
@@ -75,4 +75,4 @@ def clopper_pearson_lower(k: int, n: int, confidence: float = 0.99) -> float:
     """One-sided exact lower confidence bound for a binomial proportion."""
     if k <= 0:
         return 0.0
-    return float(scipy.stats.beta.ppf(1.0 - confidence, k, n - k + 1))
+    return float(scipy.special.betaincinv(k, n - k + 1, 1.0 - confidence))

@@ -22,7 +22,7 @@ import numpy as np
 from .group import group_distance_array, omega
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
-from .rng import RngSpec
+from .rng import RngSpec, child_generators
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -242,33 +242,32 @@ def _wz_horizontal_curve(grid, coarse, delta, ip1, ip2, fine_planar, fine_area):
     return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-def _each_trial(grid: TimeGrid, rng: RngSpec, n_trials: int):
-    """Per-trial Brownian paths; trial i is keyed by rng.child(i)."""
-    n = grid.n_steps
-    s = math.sqrt(grid.step)
-    for i in range(n_trials):
-        gen = rng.child(i).generator()
-        path = np.empty((n + 1, 2))
-        path[0] = 0.0
-        np.cumsum(gen.standard_normal((n, 2)) * s, axis=0, out=path[1:])
-        yield i, path
+# Largest path chunk in bytes: 512 rows fit it up to 2^12 steps, and a finer
+# grid gets fewer rows instead of a chunk that grows with it.
+_CHUNK_BYTES = 64 << 20
 
 
 def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 512):
     """Trial-keyed Brownian paths in batches of shape (nb, n+1, 2).
 
-    Draws match _each_trial bit for bit (same per-trial stream, same order of
-    scaling and summation), so chunked and plain drivers are interchangeable.
+    Row i holds trial start + i, drawn from rng.child(start + i), scaled by
+    sqrt(h) and summed in order along the time axis, so the values do not
+    depend on the chunk size. A chunk holds at most `chunk` rows and at most
+    _CHUNK_BYTES bytes (at least one row).
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    for start in range(0, n_trials, chunk):
-        nb = min(chunk, n_trials - start)
+    rows = max(1, min(chunk, _CHUNK_BYTES // ((n + 1) * 16)))
+    generators = child_generators(rng, n_trials)
+    for start in range(0, n_trials, rows):
+        nb = min(rows, n_trials - start)
         paths = np.empty((nb, n + 1, 2))
         paths[:, 0] = 0.0
-        for j in range(nb):
-            gen = rng.child(start + j).generator()
-            np.cumsum(gen.standard_normal((n, 2)) * s, axis=0, out=paths[j, 1:])
+        steps = paths[:, 1:]
+        for row in steps:
+            next(generators).standard_normal(out=row)
+        steps *= s
+        np.cumsum(steps, axis=1, out=steps)
         yield start, paths
 
 
@@ -284,12 +283,13 @@ def ws_convergence_experiment(
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     ms = [_coarse_factor(grid, float(dl)) for dl in deltas]
     dsq = np.empty((n_trials, len(ms)))
-    for i, planar in _each_trial(grid, rng, n_trials):
-        area = levy_area(planar)
-        for j, m in enumerate(ms):
-            wp, wa = _wz_fine(planar, m, ip1, ip2)
-            dist = group_distance_array(wp, wa, planar, area)
-            dsq[i, j] = np.max(dist) ** 2
+    for start, paths in _trial_chunks(grid, rng, n_trials):
+        for i, planar in enumerate(paths, start):
+            area = levy_area(planar)
+            for j, m in enumerate(ms):
+                wp, wa = _wz_fine(planar, m, ip1, ip2)
+                dist = group_distance_array(wp, wa, planar, area)
+                dsq[i, j] = np.max(dist) ** 2
     rows = []
     for j, dl in enumerate(deltas):
         est, se = mean_and_stderr(dsq[:, j])
@@ -320,11 +320,12 @@ def energy_divergence_experiment(
     m_delta = _coarse_factor(grid, wz_delta)
     raw = np.empty((n_trials, len(steps)))
     smoothed = np.empty((n_trials, len(steps)))
-    for i, planar in _each_trial(grid, rng, n_trials):
-        fine_wz, _ = _wz_fine(planar, m_delta, LINEAR, LINEAR)
-        for j, (h, m) in enumerate(zip(steps, factors)):
-            raw[i, j] = np.sum(np.diff(planar[::m], axis=0) ** 2) / h
-            smoothed[i, j] = np.sum(np.diff(fine_wz[::m], axis=0) ** 2) / h
+    for start, paths in _trial_chunks(grid, rng, n_trials):
+        for i, planar in enumerate(paths, start):
+            fine_wz, _ = _wz_fine(planar, m_delta, LINEAR, LINEAR)
+            for j, (h, m) in enumerate(zip(steps, factors)):
+                raw[i, j] = np.sum(np.diff(planar[::m], axis=0) ** 2) / h
+                smoothed[i, j] = np.sum(np.diff(fine_wz[::m], axis=0) ** 2) / h
     rows = []
     for j, h in enumerate(steps):
         est, se = mean_and_stderr(raw[:, j])

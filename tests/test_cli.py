@@ -288,3 +288,10 @@ class TestExitCodes:
                                        "--trials", "60000",
                                        "--fine-step", "2^-7", "--out", "r"])
             assert res.exit_code == 0, res.output
+
+    def test_girsanov_default_ladder_is_reachable(self, runner):
+        """The default radii hold accepted paths at a modest trial count."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["girsanov-ratio", "--trials", "20000",
+                                       "--out", "r"])
+            assert res.exit_code in (0, 1), res.output

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from heis import girsanov
 from heis.girsanov import (
     ConsistencyError,
     DegenerateWeightsError,
@@ -197,6 +198,31 @@ class TestTubeEstimates:
             min_accepted=50, budget=20000)
         assert table.meta["n_trials"] > 100
         assert int(table.rows[0][4]) >= 50
+
+    def test_escalation_resumes_instead_of_rescanning(self, monkeypatch):
+        """A x10 escalation draws only the new trials, and its rows equal one
+        scan of the final trial count."""
+        phi = ReferenceCurve.line(1.0, 0.0)
+        n0, eps, deltas, rng = 300, 0.9, [1.2, 1.0], RngSpec(13)
+        first = tube_decay_experiment(phi, eps, deltas, n0, rng, 2.0 ** -7)
+        min_accepted = int(first.rows[-1][4]) + 1  # the first pass falls short
+        drawn = []
+        trial_chunks = girsanov._trial_chunks
+
+        def counting(*args, **kwargs):
+            for start, paths in trial_chunks(*args, **kwargs):
+                drawn.append(paths.shape[0])
+                yield start, paths
+
+        monkeypatch.setattr(girsanov, "_trial_chunks", counting)
+        escalated = tube_decay_experiment(phi, eps, deltas, n0, rng, 2.0 ** -7,
+                                          min_accepted=min_accepted, budget=10 * n0)
+        assert sum(drawn) == 10 * n0
+        monkeypatch.undo()
+        single = tube_decay_experiment(phi, eps, deltas, 10 * n0, rng, 2.0 ** -7)
+        assert escalated.meta["n_trials"] == 10 * n0
+        assert escalated.rows == single.rows
+        assert all(row[4] > 0 for row in single.rows)
 
 
 class TestShiftSampler:

@@ -72,6 +72,15 @@ def test_clopper_pearson_coverage_meaning():
     assert math.isclose(tail, 0.01, rel_tol=1e-8)
 
 
+def test_clopper_pearson_equals_beta_quantile():
+    """The incomplete-beta inverse gives scipy.stats.beta.ppf bit for bit."""
+    for n in (1, 2, 3, 10, 37, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
+        for k in sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+            for confidence in (0.9, 0.95, 0.99, 0.999):
+                expected = float(scipy.stats.beta.ppf(1.0 - confidence, k, n - k + 1))
+                assert clopper_pearson_lower(k, n, confidence) == expected, (k, n, confidence)
+
+
 def test_clopper_pearson_monotone_in_k():
     vals = [clopper_pearson_lower(k, 100) for k in range(0, 50, 5)]
     assert all(a < b for a, b in zip(vals, vals[1:]))

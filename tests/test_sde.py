@@ -13,7 +13,7 @@ from heis.sde import (
     LINEAR,
     SMOOTHSTEP,
     Interpolant,
-    _each_trial,
+    _CHUNK_BYTES,
     _trial_chunks,
     area_increments,
     energy_divergence_experiment,
@@ -79,12 +79,45 @@ def test_levy_area_law_symmetric():
     assert stat.pvalue > 0.01
 
 
-def test_trial_chunks_match_each_trial():
+def _per_trial_paths(grid, rng, n_trials):
+    """Reference trial source: one freshly built generator per trial."""
+    n = grid.n_steps
+    s = math.sqrt(grid.step)
+    out = np.empty((n_trials, n + 1, 2))
+    out[:, 0] = 0.0
+    for i in range(n_trials):
+        gen = rng.child(i).generator()
+        np.cumsum(gen.standard_normal((n, 2)) * s, axis=0, out=out[i, 1:])
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("rng", [RngSpec(77), RngSpec(-5, 2 ** 64 - 3)],
+                         ids=["plain", "wraps-2^64"])
+def test_trial_chunks_match_per_trial_generators(chunk, rng):
+    """Chunked draws equal the per-trial reference bit for bit, for a trial
+    count that is not a multiple of the chunk and for streams past 2^64."""
     grid = TimeGrid.uniform(32)
-    rng = RngSpec(77)
-    plain = np.stack([p for _, p in _each_trial(grid, rng, 25)])
-    chunked = np.concatenate([p for _, p in _trial_chunks(grid, rng, 25, chunk=8)])
-    np.testing.assert_array_equal(plain, chunked)
+    n_trials = 25
+    starts, parts = [], []
+    for start, paths in _trial_chunks(grid, rng, n_trials, chunk=chunk):
+        starts.append(start)
+        parts.append(paths)
+    assert starts == list(range(0, n_trials, chunk))
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  _per_trial_paths(grid, rng, n_trials))
+
+
+def test_trial_chunks_stay_within_byte_budget():
+    grid = TimeGrid.uniform(2 ** 18)
+    rng = RngSpec(4)
+    rows = []
+    for start, paths in _trial_chunks(grid, rng, 20):
+        assert paths.nbytes <= _CHUNK_BYTES
+        if start > 0:  # the first row of a later chunk is still trial `start`
+            np.testing.assert_array_equal(paths[0], _per_trial_paths(grid, rng.child(start), 1)[0])
+        rows.append(paths.shape[0])
+    assert sum(rows) == 20 and len(rows) > 1
 
 
 def test_interpolant_validation():
