@@ -8,12 +8,14 @@ integral of the interpolated path, which is horizontal by construction.
 
 Conventions fixed here and relied on by the tests:
   - stochastic integrals use left-point sums on the fine grid;
-  - trial i of any experiment draws from rng.child(i), so estimates do not
-    depend on batch sizes;
+  - trial i of any experiment draws from rng.child(i), so estimates depend
+    neither on the chunk size nor on when the helper thread that draws the
+    next chunk runs;
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +60,11 @@ def levy_area(planar: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffusionSample:
-    """One realization of g = (B, A) on a uniform grid."""
+    """One realization of g = (B, A) on a uniform grid.
+
+    planar and area may carry a leading batch axis of trials; rng is then the
+    stream of the first of them.
+    """
 
     grid: TimeGrid
     planar: np.ndarray
@@ -242,33 +248,57 @@ def _wz_horizontal_curve(grid, coarse, delta, ip1, ip2, fine_planar, fine_area):
     return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-# Largest path chunk in bytes: 512 rows fit it up to 2^12 steps, and a finer
-# grid gets fewer rows instead of a chunk that grows with it.
+# Byte budget of the path chunks alive at once: one being reduced by the
+# caller and one being drawn by the helper thread, so each gets half. 256
+# rows fit a half up to 2^12 steps, and a finer grid gets fewer rows instead
+# of a chunk that grows with it.
 _CHUNK_BYTES = 64 << 20
 
 
-def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 512):
+def _draw_chunk(rng: RngSpec, start: int, nb: int, n: int, s: float) -> np.ndarray:
+    """Paths of trials start .. start + nb - 1 on n steps of size s**2.
+
+    Runs on the helper thread of _trial_chunks. It draws through its own
+    re-keyed generator and calls only RngSpec.child and child_generators:
+    perfbench/tracing.py times the package's public functions on one span
+    stack, which a call from a second thread would corrupt.
+    """
+    paths = np.empty((nb, n + 1, 2))
+    paths[:, 0] = 0.0
+    steps = paths[:, 1:]
+    for row, generator in zip(steps, child_generators(rng.child(start), nb)):
+        generator.standard_normal(out=row)
+    steps *= s
+    np.cumsum(steps, axis=1, out=steps)
+    return paths
+
+
+def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 256):
     """Trial-keyed Brownian paths in batches of shape (nb, n+1, 2).
 
     Row i holds trial start + i, drawn from rng.child(start + i), scaled by
     sqrt(h) and summed in order along the time axis, so the values do not
     depend on the chunk size. A chunk holds at most `chunk` rows and at most
-    _CHUNK_BYTES bytes (at least one row).
+    _CHUNK_BYTES // 2 bytes (at least one row). One helper thread draws the
+    next chunk while the caller reduces the current one; chunks are yielded
+    in trial order. Closing the generator early waits for the draw in flight.
+    There is one helper, not one per core: the per-row re-keying holds the
+    interpreter lock, so a second drawing thread mostly waits for it.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = max(1, min(chunk, _CHUNK_BYTES // ((n + 1) * 16)))
-    generators = child_generators(rng, n_trials)
-    for start in range(0, n_trials, rows):
-        nb = min(rows, n_trials - start)
-        paths = np.empty((nb, n + 1, 2))
-        paths[:, 0] = 0.0
-        steps = paths[:, 1:]
-        for row in steps:
-            next(generators).standard_normal(out=row)
-        steps *= s
-        np.cumsum(steps, axis=1, out=steps)
-        yield start, paths
+    rows = max(1, min(chunk, _CHUNK_BYTES // 2 // ((n + 1) * 16)))
+    with ThreadPoolExecutor(1) as helper:
+
+        def draw(start):
+            return helper.submit(_draw_chunk, rng, start, min(rows, n_trials - start), n, s)
+
+        pending = draw(0) if n_trials > 0 else None
+        for start in range(0, n_trials, rows):
+            paths = pending.result()
+            if start + rows < n_trials:
+                pending = draw(start + rows)
+            yield start, paths
 
 
 def ws_convergence_experiment(

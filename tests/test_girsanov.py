@@ -23,6 +23,7 @@ from heis.girsanov import (
     ito_left_sum,
     shift_weight,
     support_positivity,
+    time_change_diagnostics,
     tube_decay_experiment,
     tube_deviation,
     tube_regime_ok,
@@ -30,7 +31,7 @@ from heis.girsanov import (
 from heis.paths import TimeGrid, horizontality_defect
 from heis.results import binomial_stderr
 from heis.rng import RngSpec
-from heis.sde import _trial_chunks, hypoelliptic_bm, levy_area
+from heis.sde import DiffusionSample, _trial_chunks, hypoelliptic_bm, levy_area
 
 GRID = TimeGrid.uniform(256)
 
@@ -282,6 +283,18 @@ class TestTimeChange:
         with pytest.raises(ValueError):
             dds_experiment(10, 2.0 ** -7, [0.3], RngSpec(51))
 
+    def test_batched_samples_give_the_per_trial_table(self):
+        grid, rng, times = TimeGrid.uniform(128), RngSpec(52), [0.25, 0.5, 1.0]
+        paths = _paths(300, rng, grid)
+        areas = levy_area(paths)
+        per_trial = [DiffusionSample(grid, p, a, rng.child(i))
+                     for i, (p, a) in enumerate(zip(paths, areas))]
+        batched = [DiffusionSample(grid, paths[:100], areas[:100], rng),
+                   DiffusionSample(grid, paths[100:], areas[100:], rng.child(100))]
+        table = time_change_diagnostics(per_trial, times)
+        assert time_change_diagnostics(batched, times).rows == table.rows
+        assert dds_experiment(300, grid.step, times, rng).rows == table.rows
+
 
 class TestSupport:
     def test_positive_mass_near_flat_curve(self):
@@ -290,6 +303,22 @@ class TestSupport:
         assert est.hits > 0
         assert est.lower_99 > 0.0
         assert est.lower_99 < est.p_hat
+
+    @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0), ReferenceCurve.zero(),
+                                     ReferenceCurve.poly2(1.0, 1.0)],
+                             ids=["line", "zero", "poly2"])
+    def test_hits_match_per_trial_brute_force(self, phi):
+        """Skipping trials outside the planar tube loses no hit."""
+        grid, n, rng = TimeGrid.uniform(128), 1500, RngSpec(62)
+        dist = np.empty(n)
+        for i in range(n):
+            s = hypoelliptic_bm(grid, rng.child(i))
+            dist[i] = distance_to_curve(phi, s.planar, s.area, grid)
+        hits = []
+        for eps in (0.3, 0.6, 1.0, 1.5):
+            hits.append(support_positivity(phi, eps, n, rng, grid.step).hits)
+            assert hits[-1] == int(np.sum(dist < eps))
+        assert any(0 < k < n for k in hits)
 
     def test_zero_hits_gives_zero_bound(self):
         est = support_positivity(ReferenceCurve.line(8.0, 8.0), 0.1, 200,

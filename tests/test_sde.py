@@ -1,11 +1,15 @@
 """Brownian sampling, stochastic area, smoothing transforms."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heis import sde
 from heis.group import group_distance_array
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
@@ -108,12 +112,49 @@ def test_trial_chunks_match_per_trial_generators(chunk, rng):
                                   _per_trial_paths(grid, rng, n_trials))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), n_steps=st.integers(1, 16))
+def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, n_steps):
+    grid = TimeGrid.uniform(n_steps)
+    rng = RngSpec(91, 7)
+    items = list(_trial_chunks(grid, rng, n_trials, chunk=chunk))
+    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    drawn = np.concatenate([np.empty((0, n_steps + 1, 2))] + [p for _, p in items])
+    np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
+
+
+def test_closing_trial_chunks_early_joins_the_helper_thread():
+    before = threading.active_count()
+    chunks = _trial_chunks(GRID, RngSpec(3), 100, chunk=7)
+    next(chunks)
+    assert threading.active_count() == before + 1  # drawing the next chunk
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_draw_error_reaches_the_caller(monkeypatch):
+    draw = sde._draw_chunk
+
+    def failing(rng, start, *args):
+        if start > 0:
+            raise RuntimeError(f"draw of trial {start} failed")
+        return draw(rng, start, *args)
+
+    monkeypatch.setattr(sde, "_draw_chunk", failing)
+    chunks = _trial_chunks(GRID, RngSpec(3), 20, chunk=10)
+    assert next(chunks)[0] == 0
+    with pytest.raises(RuntimeError, match="trial 10 failed"):
+        next(chunks)
+
+
 def test_trial_chunks_stay_within_byte_budget():
+    """Two chunks are alive at once, the one the caller reduces and the one
+    being drawn, so each stays within half the budget."""
     grid = TimeGrid.uniform(2 ** 18)
     rng = RngSpec(4)
     rows = []
     for start, paths in _trial_chunks(grid, rng, 20):
-        assert paths.nbytes <= _CHUNK_BYTES
+        assert 2 * paths.nbytes <= _CHUNK_BYTES
         if start > 0:  # the first row of a later chunk is still trial `start`
             np.testing.assert_array_equal(paths[0], _per_trial_paths(grid, rng.child(start), 1)[0])
         rows.append(paths.shape[0])
