@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import group_distance_array
+from .group import group_distance_array, sq_norm
 from .paths import HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
@@ -164,10 +164,31 @@ def shift_weight(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.
     return np.exp(-stoch - 0.5 * quad)
 
 
-def tube_deviation(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """sup over nodes of |B_t - phi(t)| in the plane."""
-    gap = planar - phi.planar_at(grid.times)
-    return np.sqrt(np.max(np.sum(gap * gap, axis=-1), axis=-1))
+# Node stride of the lower bound that tube_deviation takes before the full sup.
+_TUBE_STRIDE = 8
+
+
+def tube_deviation(
+    phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid, cap: Optional[float] = None
+) -> np.ndarray:
+    """sup over nodes of |B_t - phi(t)| in the plane.
+
+    With a cap, a path's largest gap over every 8th node is taken first. It
+    is a lower bound of the sup, computed by the same expression, and a path
+    whose bound is at least cap gets that bound instead of its sup. Every
+    returned value below cap is therefore the exact sup, and every other one
+    is at least cap: a caller that compares the result with radii no wider
+    than cap decides exactly as with the full sup, at the cost of the strided
+    pass for the paths that leave the tube early.
+    """
+    nodes = phi.planar_at(grid.times)
+    if cap is None:
+        return np.sqrt(np.max(sq_norm(planar - nodes), axis=-1))
+    rows = planar.reshape(-1, *planar.shape[-2:])
+    out = np.sqrt(np.max(sq_norm(rows[:, ::_TUBE_STRIDE] - nodes[::_TUBE_STRIDE]), axis=-1))
+    near = out < cap
+    out[near] = np.sqrt(np.max(sq_norm(rows[near] - nodes), axis=-1))
+    return out.reshape(planar.shape[:-2])[()]
 
 
 def tube_indicator(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid, delta: float):
@@ -201,16 +222,19 @@ class TubeEstimate:
 def _tube_scan(phi, n_trials, rng, grid, delta_max):
     """One pass of rejection trials; returns per-trial (deviation, distance).
 
-    The area and the distance are formed only for trials inside the widest
-    tube (deviation < delta_max); every other trial gets distance NaN. A
-    rejected trial's distance is never read, and each trial's distance is a
-    row-wise function of its own path, so the estimates are unchanged.
+    The deviation is exact for trials inside the widest tube (deviation <
+    delta_max); every other trial gets a lower bound of it that is at least
+    delta_max (tube_deviation's cap), so it is rejected at every level as
+    before. The area and the distance are formed only for trials inside the
+    widest tube; every other trial gets distance NaN. A rejected trial's
+    distance is never read, and each trial's distance is a row-wise
+    function of its own path, so the estimates are unchanged.
     """
     dev = np.empty(n_trials)
     dist = np.full(n_trials, np.nan)
     for start, paths in _trial_chunks(grid, rng, n_trials):
         nb = paths.shape[0]
-        d = tube_deviation(phi, paths, grid)
+        d = tube_deviation(phi, paths, grid, cap=delta_max)
         dev[start:start + nb] = d
         inside = np.flatnonzero(d < delta_max)
         sub = paths[inside]
@@ -361,7 +385,7 @@ def girsanov_shift_sampler(
     for start, paths in _trial_chunks(grid, rng, n_trials):
         nb = paths.shape[0]
         w[start:start + nb] = shift_weight(phi, paths, grid)
-        dev[start:start + nb] = np.sqrt(np.max(np.sum(paths * paths, axis=-1), axis=-1))
+        dev[start:start + nb] = np.sqrt(np.max(sq_norm(paths), axis=-1))
         shifted = paths + nodes
         dist[start:start + nb] = distance_to_curve(phi, shifted, levy_area(shifted), grid)
     return ShiftSamplerResult(phi.label, w, dev, dist, rng.seed)
@@ -397,7 +421,7 @@ def girsanov_ratio_experiment(
                 )
             checked = True
         weights[start:start + nb] = exp_martingale(phi, paths, grid)
-        dev[start:start + nb] = np.sqrt(np.max(np.sum(paths * paths, axis=-1), axis=-1))
+        dev[start:start + nb] = np.sqrt(np.max(sq_norm(paths), axis=-1))
     target = math.exp(-0.5 * phi.planar_energy)
     rows = []
     for d in deltas:
@@ -455,7 +479,7 @@ def time_change_diagnostics(samples, times) -> ResultTable:
         elif sample.grid != grid:
             raise ValueError("samples live on different grids")
         planar = sample.planar.reshape(-1, *sample.planar.shape[-2:])
-        sq = np.sum(planar * planar, axis=-1)
+        sq = sq_norm(planar)
         cum = np.zeros(sq.shape)
         np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * h, axis=-1, out=cum[:, 1:])
         a_vals.append(sample.area.reshape(sq.shape)[:, idx])
@@ -521,7 +545,8 @@ def support_positivity(
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     hits = 0
     for start, paths in _trial_chunks(grid, rng, n_trials):
-        near = paths[tube_deviation(phi, paths, grid) < epsilon * (1.0 + 1e-9)]
+        cap = epsilon * (1.0 + 1e-9)
+        near = paths[tube_deviation(phi, paths, grid, cap=cap) < cap]
         dist = distance_to_curve(phi, near, levy_area(near), grid)
         hits += int(np.sum(dist < epsilon))
     p = hits / n_trials

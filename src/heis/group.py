@@ -64,10 +64,6 @@ class TangentVector:
 IDENTITY = GroupElement(0.0, 0.0, 0.0)
 
 
-def identity():
-    return IDENTITY
-
-
 def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     cross = 0.5 * (g1.x * g2.y - g2.x * g1.y)
     return GroupElement(g1.x + g2.x, g1.y + g2.y, g1.z + g2.z + cross)
@@ -145,8 +141,17 @@ def quotient_z_array(planar_a, z_a, planar_b, z_b):
     return z_b - z_a - 0.5 * omega(planar_a, planar_b)
 
 
+def sq_norm(v):
+    """Squared length over the trailing planar axis of size 2.
+
+    The two products and one sum round exactly as np.sum(v * v, axis=-1)
+    does, so the results are bitwise equal, at a fraction of the cost.
+    """
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+
+
 def homogeneous_norm_array(planar, z):
-    sq = np.sum(planar * planar, axis=-1)
+    sq = sq_norm(planar)
     return (sq * sq + z * z) ** 0.25
 
 
@@ -154,5 +159,5 @@ def group_distance_array(planar_a, z_a, planar_b, z_b):
     """|a^{-1} b| pointwise over batches of elements."""
     dv = planar_b - planar_a
     dz = quotient_z_array(planar_a, z_a, planar_b, z_b)
-    sq = np.sum(dv * dv, axis=-1)
+    sq = sq_norm(dv)
     return (sq * sq + dz * dz) ** 0.25

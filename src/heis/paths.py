@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import AlgebraElement, GroupElement, group_distance_array, omega
+from .group import AlgebraElement, GroupElement, group_distance_array, omega, sq_norm
 
 
 class GridMismatchError(ValueError):
@@ -187,12 +187,6 @@ class HorizontalCurve:
         interp = "linear" if self.analytic is None else "nodes"
         return SampledPath(self.grid, self.planar, self.lifted_z, interp)
 
-    def _interval_of(self, t: float) -> int:
-        # Right-sided convention: at an interior node return the interval to
-        # the right; at t = 1 the last interval.
-        i = int(np.searchsorted(self.grid.times, t, side="right") - 1)
-        return min(max(i, 0), self.grid.n_steps - 1)
-
 
 def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
     """Lift a planar path based at 0 to a horizontal curve.
@@ -349,11 +343,11 @@ def energy(c: HorizontalCurve) -> float:
     if c.analytic is not None:
         tt, ww = _gl_sample_times(c.grid)
         dx = np.asarray(c.analytic.dx_fn(tt.ravel()), dtype=float)
-        speed_sq = np.sum(dx * dx, axis=-1).reshape(ww.shape)
+        speed_sq = sq_norm(dx).reshape(ww.shape)
         return float(np.sum(speed_sq * ww))
     dt = np.diff(c.grid.times)
     dx = np.diff(c.planar, axis=0)
-    return float(np.sum(np.sum(dx * dx, axis=1) / dt))
+    return float(np.sum(sq_norm(dx) / dt))
 
 
 def write_path_csv(path: SampledPath, fh):

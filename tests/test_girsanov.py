@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis import girsanov
 from heis.girsanov import (
@@ -224,6 +226,45 @@ class TestTubeEstimates:
         assert escalated.meta["n_trials"] == 10 * n0
         assert escalated.rows == single.rows
         assert all(row[4] > 0 for row in single.rows)
+
+
+class TestTubeDeviationCap:
+    @staticmethod
+    def _check(phi, paths, grid, cap):
+        full = tube_deviation(phi, paths, grid)
+        capped = tube_deviation(phi, paths, grid, cap=cap)
+        below = full < cap
+        np.testing.assert_array_equal(capped[below], full[below])
+        assert np.all(capped[~below] >= cap) and np.all(capped[~below] <= full[~below])
+        for path, value in zip(paths[:3], capped):  # one path gives a scalar
+            one = tube_deviation(phi, path, grid, cap=cap)
+            assert np.ndim(one) == 0 and one == value
+        return capped
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 7, 8, 9, 20, 127, 128, 1023])
+    def test_exact_below_the_cap_and_at_least_the_cap_above(self, n_steps):
+        """Grids shorter than the stride, and node counts that the stride
+        does not divide, included."""
+        phi = ReferenceCurve.poly2(1.0, 1.0)
+        grid = TimeGrid.uniform(n_steps)
+        paths = _paths(200, RngSpec(40 + n_steps), grid)
+        full = tube_deviation(phi, paths, grid)
+        bounded = 0
+        for cap in [0.0, *np.quantile(full, [0.1, 0.5, 0.9]), full[7], np.inf]:
+            capped = self._check(phi, paths, grid, cap)
+            bounded += int(np.sum(capped != full))
+        assert bounded > 0 or n_steps < 8  # the strided bound is used
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_steps=st.integers(1, 40), n_paths=st.integers(0, 12),
+           q=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cap_property(self, n_steps, n_paths, q, seed):
+        phi = ReferenceCurve.line(1.0, 0.0)
+        grid = TimeGrid.uniform(n_steps)
+        paths = _paths(n_paths, RngSpec(seed), grid) if n_paths else np.empty((0, n_steps + 1, 2))
+        full = tube_deviation(phi, paths, grid)
+        cap = float(np.quantile(full, q)) if n_paths else 1.0
+        self._check(phi, paths, grid, cap)
 
 
 class TestShiftSampler:

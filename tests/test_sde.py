@@ -123,28 +123,79 @@ def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, n_ste
     np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 37, 256])
+def test_caller_assisted_chunks_match_per_trial_generators(chunk):
+    """From 1024 steps on, the caller draws blocks of the chunks it waits
+    for; the rows are still the per-trial reference bit for bit."""
+    grid = TimeGrid.uniform(1024)
+    rng = RngSpec(29, 11)
+    items = list(_trial_chunks(grid, rng, 300, chunk=chunk))
+    assert [start for start, _ in items] == list(range(0, 300, chunk))
+    np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
+                                  _per_trial_paths(grid, rng, 300))
+
+
+def test_coarse_grids_are_drawn_by_the_helper_alone(monkeypatch):
+    """Below 1024 steps the helper draws each chunk as one block."""
+    draw = sde._draw_rows
+    calls = []
+
+    def recording(rng, first, rows, s):
+        calls.append((first, rows.shape[0], threading.current_thread() is threading.main_thread()))
+        draw(rng, first, rows, s)
+
+    monkeypatch.setattr(sde, "_draw_rows", recording)
+    list(_trial_chunks(TimeGrid.uniform(1023), RngSpec(3), 50, chunk=16))
+    assert calls == [(0, 16, False), (16, 16, False), (32, 16, False), (48, 2, False)]
+
+
 def test_closing_trial_chunks_early_joins_the_helper_thread():
-    before = threading.active_count()
-    chunks = _trial_chunks(GRID, RngSpec(3), 100, chunk=7)
-    next(chunks)
-    assert threading.active_count() == before + 1  # drawing the next chunk
-    chunks.close()
-    assert threading.active_count() == before
+    for n_steps in (256, 1024):  # helper alone, and caller-assisted
+        before = threading.active_count()
+        chunks = _trial_chunks(TimeGrid.uniform(n_steps), RngSpec(3), 100, chunk=7)
+        next(chunks)
+        assert threading.active_count() == before + 1  # drawing the next chunk
+        chunks.close()
+        assert threading.active_count() == before
 
 
 def test_draw_error_reaches_the_caller(monkeypatch):
-    draw = sde._draw_chunk
+    draw = sde._draw_rows
 
-    def failing(rng, start, *args):
-        if start > 0:
-            raise RuntimeError(f"draw of trial {start} failed")
-        return draw(rng, start, *args)
+    def failing(rng, first, *args):
+        if first > 0:
+            raise RuntimeError(f"draw of trial {first} failed")
+        return draw(rng, first, *args)
 
-    monkeypatch.setattr(sde, "_draw_chunk", failing)
+    monkeypatch.setattr(sde, "_draw_rows", failing)
     chunks = _trial_chunks(GRID, RngSpec(3), 20, chunk=10)
     assert next(chunks)[0] == 0
     with pytest.raises(RuntimeError, match="trial 10 failed"):
         next(chunks)
+
+
+@pytest.mark.parametrize("failing_thread", ["caller", "helper"])
+def test_block_draw_error_reaches_the_caller(monkeypatch, failing_thread):
+    """On a caller-assisted grid, an error in a block reaches the caller
+    whichever thread drew it. The other thread draws only after a block of
+    the failing one has failed, so the failing thread surely claims one."""
+    draw = sde._draw_rows
+    failed = threading.Event()
+
+    def failing(rng, first, rows, s):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing_thread == "caller"):
+            failed.set()
+            raise RuntimeError(f"{failing_thread} block failed")
+        assert failed.wait(10)
+        draw(rng, first, rows, s)
+
+    monkeypatch.setattr(sde, "_draw_rows", failing)
+    before = threading.active_count()
+    chunks = _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 64, chunk=32)
+    with pytest.raises(RuntimeError, match=f"{failing_thread} block failed"):
+        next(chunks)
+    assert threading.active_count() == before
 
 
 def test_trial_chunks_stay_within_byte_budget():
