@@ -56,8 +56,6 @@ from .girsanov import (
     ReferenceCurve,
     ShiftSamplerResult,
     SupportEstimate,
-    TubeEstimate,
-    conditional_distance_estimate,
     dds_experiment,
     distance_to_curve,
     exp_martingale,
@@ -70,7 +68,6 @@ from .girsanov import (
     time_change_diagnostics,
     tube_decay_experiment,
     tube_deviation,
-    tube_indicator,
     tube_regime_ok,
 )
 from .density import (

@@ -28,6 +28,11 @@ from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_a
 from .rng import RngSpec
 from .sde import DiffusionSample, _trial_chunks, levy_area
 
+# Columns of the tube and girsanov-ratio tables; the CLI writes them alone
+# when no trial lands in any tube.
+TUBE_COLUMNS = ("delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed")
+RATIO_COLUMNS = ("delta", "estimate", "stderr", "accepted", "total", "target", "seed")
+
 
 class InsufficientAcceptanceError(RuntimeError):
     """Conditioning event was never hit; carries the raw counts."""
@@ -191,10 +196,6 @@ def tube_deviation(
     return out.reshape(planar.shape[:-2])[()]
 
 
-def tube_indicator(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid, delta: float):
-    return tube_deviation(phi, planar, grid) < delta
-
-
 def distance_to_curve(phi: ReferenceCurve, planar: np.ndarray, area: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Uniform group distance between g = (B, A) and the lift of phi."""
     pp = phi.planar_at(grid.times)
@@ -205,18 +206,6 @@ def distance_to_curve(phi: ReferenceCurve, planar: np.ndarray, area: np.ndarray,
 def tube_regime_ok(phi: ReferenceCurve, delta: float, epsilon: float) -> bool:
     """Whether epsilon^2 > delta C_phi + delta^2 (the estimate's regime)."""
     return epsilon * epsilon > delta * phi.total_variation + delta * delta
-
-
-@dataclass(frozen=True)
-class TubeEstimate:
-    delta: float
-    epsilon: float
-    p_hat: float
-    stderr: float
-    accepted: int
-    total: int
-    out_of_regime: bool
-    seed: int
 
 
 def _tube_scan(phi, n_trials, rng, grid, delta_max):
@@ -240,37 +229,6 @@ def _tube_scan(phi, n_trials, rng, grid, delta_max):
         sub = paths[inside]
         dist[start + inside] = distance_to_curve(phi, sub, levy_area(sub), grid)
     return dev, dist
-
-
-def conditional_distance_estimate(
-    phi: ReferenceCurve,
-    epsilon: float,
-    delta: float,
-    n_trials: int,
-    rng: RngSpec,
-    fine_step: float = 2.0 ** -10,
-) -> TubeEstimate:
-    """Rejection estimate of P(d(g, phi) > epsilon | sup |B - phi| < delta).
-
-    stderr follows the small-count convention in results.binomial_stderr.
-    Raises InsufficientAcceptanceError when no trial lands in the tube.
-    """
-    grid = TimeGrid.uniform(round(1.0 / fine_step))
-    dev, dist = _tube_scan(phi, n_trials, rng, grid, delta)
-    accepted = int(np.sum(dev < delta))
-    if accepted == 0:
-        raise InsufficientAcceptanceError(0, n_trials, f"delta={delta}, phi={phi.label}")
-    exceed = int(np.sum((dev < delta) & (dist > epsilon)))
-    return TubeEstimate(
-        delta=float(delta),
-        epsilon=float(epsilon),
-        p_hat=exceed / accepted,
-        stderr=binomial_stderr(exceed, accepted),
-        accepted=accepted,
-        total=n_trials,
-        out_of_regime=not tube_regime_ok(phi, delta, epsilon),
-        seed=rng.seed,
-    )
 
 
 def tube_decay_experiment(
@@ -318,7 +276,7 @@ def tube_decay_experiment(
         exceed = int(np.sum(acc & (dist > epsilon)))
         rows.append((float(d), float(epsilon), exceed / k, binomial_stderr(exceed, k), k, n, rng.seed))
     return ResultTable(
-        ["delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed"],
+        list(TUBE_COLUMNS),
         rows,
         {
             "experiment": "tube",
@@ -436,7 +394,7 @@ def girsanov_ratio_experiment(
         raise InsufficientAcceptanceError(0, n_trials, "every delta level empty")
     mean_w, mean_w_se = mean_and_stderr(weights)
     return ResultTable(
-        ["delta", "estimate", "stderr", "accepted", "total", "target", "seed"],
+        list(RATIO_COLUMNS),
         rows,
         {
             "experiment": "girsanov-ratio",
@@ -459,7 +417,10 @@ def time_change_diagnostics(samples, times) -> ResultTable:
     trial or a batch of trials along a leading axis of planar and area. tau
     is the quarter integral of |B|^2, evaluated by the trapezoid rule (exact
     in mean for this integrand). Correlations are between A_t and the planar
-    coordinates at the same time; their stderr is the 1/sqrt(N) null scale.
+    coordinates at the same time. A_t and B_t are uncorrelated but not
+    independent (E[A_1^2 (B^1_1)^2] = 5/12, not 1/4), so the null scale of a
+    correlation is sqrt(E[a^2 b^2] / (E[a^2] E[b^2]) / N) over the centred
+    samples, about sqrt(5/3 / N), and that is the stderr reported.
     """
     times = [float(t) for t in times]
     a_vals, tau_vals, b_vals = [], [], []
@@ -495,8 +456,11 @@ def time_change_diagnostics(samples, times) -> ResultTable:
         mt, mt_se = mean_and_stderr(tau[:, j])
         c1 = float(np.corrcoef(a[:, j], b[:, j, 0])[0, 1])
         c2 = float(np.corrcoef(a[:, j], b[:, j, 1])[0, 1])
-        corr_se = 1.0 / math.sqrt(n)
-        rows.append((t, var, mt, c1, c2, var_se, mt_se, corr_se, corr_se))
+        ca = a[:, j] - np.mean(a[:, j])
+        cb = b[:, j] - np.mean(b[:, j], axis=0)
+        se1, se2 = np.sqrt(np.mean((ca[:, None] * cb) ** 2, axis=0)
+                           / (np.mean(ca * ca) * np.mean(cb * cb, axis=0)) / n)
+        rows.append((t, var, mt, c1, c2, var_se, mt_se, float(se1), float(se2)))
     return ResultTable(
         ["t", "var_A", "mean_tau", "corr_A_B1", "corr_A_B2",
          "stderr_var_A", "stderr_mean_tau", "stderr_corr_A_B1", "stderr_corr_A_B2"],

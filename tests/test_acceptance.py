@@ -16,6 +16,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import conftest
+from heis.cli import EXPERIMENTS
 from heis.cli import main as cli_main
 from heis.density import HelixSpec, helix_convergence, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
 from heis.girsanov import (
@@ -24,8 +25,6 @@ from heis.girsanov import (
     dds_experiment,
     girsanov_ratio_experiment,
     girsanov_shift_sampler,
-    support_positivity,
-    tube_decay_experiment,
     tube_deviation,
 )
 from heis.group import (
@@ -38,10 +37,8 @@ from heis.rng import RngSpec
 from heis.sde import (
     LINEAR,
     _trial_chunks,
-    energy_divergence_experiment,
     hypoelliptic_bm,
     levy_area,
-    levy_area_law_experiment,
     wong_zakai,
     ws_convergence_experiment,
 )
@@ -56,6 +53,21 @@ def _verdict(num: int, ok: bool, detail: str, elapsed: float, budget: float):
     conftest.record_criterion(line)
     print(line)
     assert verdict, line
+
+
+def _cli_verdict(name: str, trials: int, fine_step: str, **parameters):
+    """Run an experiment as its CLI command does and judge it by the CLI's
+    own verdicts: passed only when every assertion holds and the run is
+    conclusive. Returns (passed, one detail per assertion)."""
+    spec = EXPERIMENTS[name]
+    table = spec.run({"seed": SEED, "trials": trials, "fine_step": fine_step,
+                      "parameters": parameters})
+    assertions, inconclusive = spec.verdicts(table, parameters)
+    detail = "; ".join(f"{a['name']} {'PASS' if a['passed'] else 'FAIL'}: {a['detail']}"
+                       for a in assertions)
+    if inconclusive:
+        detail += "; INCONCLUSIVE"
+    return not inconclusive and all(a["passed"] for a in assertions), detail
 
 
 def test_criterion_01_group_algebra():
@@ -137,18 +149,9 @@ def test_criterion_03_ito_sum_identity():
 
 def test_criterion_04_levy_area_law():
     t0 = time.perf_counter()
-    table = levy_area_law_experiment(2.0 ** -12, 100000, [0.5, 1.0, 2.0],
-                                     RngSpec(SEED))
-    _, var, var_se, *_ = table.rows[0]
-    parts = [f"Var(A_1) {var:.5f} vs 0.25 (3se {3 * var_se:.5f})"]
-    ok = abs(var - 0.25) <= 3.0 * var_se
-    for lam, est, se, *_ in table.rows[1:]:
-        target = 1.0 / math.cosh(lam / 2.0)
-        tol = 3.0 * se + 0.002
-        ok = ok and abs(est - target) <= tol
-        parts.append(f"cos({lam:g}) {est:.5f} vs {target:.5f} (tol {tol:.5f})")
+    ok, detail = _cli_verdict("levy-law", 100000, "2^-12", lambdas="0.5,1,2")
     elapsed = time.perf_counter() - t0
-    _verdict(4, ok, "; ".join(parts), elapsed, 120.0)
+    _verdict(4, ok, detail, elapsed, 120.0)
 
 
 def test_criterion_05_mean_square_convergence():
@@ -170,21 +173,10 @@ def test_criterion_05_mean_square_convergence():
 
 def test_criterion_06_energy_divergence():
     t0 = time.perf_counter()
-    steps = [2.0 ** -k for k in range(6, 11)]
-    table = energy_divergence_experiment(steps, 512, RngSpec(SEED),
-                                         wz_delta=2.0 ** -3)
-    raw_ok = True
-    plateau = []
-    for d, est, se, _, h, _ in table.rows:
-        if d == h:
-            raw_ok = raw_ok and abs(est - 2.0 / h) <= 3.0 * se
-        elif h <= 2.0 ** -6:
-            plateau.append(est)
-    spread = (max(plateau) - min(plateau)) / float(np.mean(plateau))
+    ok, detail = _cli_verdict("energy-diverge", 512, "2^-10",
+                              steps="2^-6,2^-7,2^-8,2^-9,2^-10", wz_delta="2^-3")
     elapsed = time.perf_counter() - t0
-    _verdict(6, raw_ok and spread <= 0.01,
-             f"raw energy ~ 2/h within 3se over h in 2^-6..2^-10: {raw_ok}; "
-             f"smoothed spread {spread:.2e} <= 1%", elapsed, 60.0)
+    _verdict(6, ok, detail, elapsed, 60.0)
 
 
 def test_criterion_07_dds_diagnostics():
@@ -201,7 +193,8 @@ def test_criterion_07_dds_diagnostics():
             indep = abs(c1) <= 3.0 * se_c1 and abs(c2) <= 3.0 * se_c2
             ok = ok and clock and indep
             parts.append(f"E[tau(1)]-0.25 = {tau - 0.25:+.5f} (3se {3 * se_t:.5f}), "
-                         f"corr(A_1,B(1)) = ({c1:+.4f},{c2:+.4f})")
+                         f"corr(A_1,B(1)) = ({c1:+.4f},{c2:+.4f}) "
+                         f"(3se {3 * se_c1:.4f}, {3 * se_c2:.4f})")
     elapsed = time.perf_counter() - t0
     _verdict(7, ok, "; ".join(parts), elapsed, 120.0)
 
@@ -310,44 +303,26 @@ def test_criterion_09_tube_conditioned_decay():
     the in-regime estimate.
     """
     t0 = time.perf_counter()
-    deltas = [0.9, 0.8, 0.7, 0.6]
     parts = []
     ok = True
-    for phi in (ReferenceCurve.line(1.0, 0.0), ReferenceCurve.poly2(1.0, 1.0)):
+    for phi in ("line 1 0", "poly2 1 1"):
         try:
-            table = tube_decay_experiment(phi, 0.9, deltas, 10 ** 6,
-                                          RngSpec(SEED), 2.0 ** -10,
-                                          min_accepted=200, budget=10 ** 6)
+            passed, detail = _cli_verdict("tube", 10 ** 6, "2^-10", phi=phi, epsilon=0.9,
+                                          deltas="0.9,0.8,0.7,0.6", min_accepted=200,
+                                          budget=10 ** 6)
         except InsufficientAcceptanceError as exc:
-            ok = False
-            parts.append(f"{phi.label}: {exc}")
-            continue
-        acc = table.column("accepted").astype(int)
-        enough = bool(np.all(acc >= 200))
-        p = table.column("p_hat")
-        se = table.column("stderr")
-        mono = enough and all(
-            p[i + 1] <= p[i] + 2.0 * math.hypot(se[i], se[i + 1])
-            for i in range(len(p) - 1))
-        drop = enough and p[-1] <= p[0] - 3.0 * math.hypot(se[0], se[-1])
-        ok = ok and enough and mono and drop
-        levels = ", ".join(f"{pi:.4f}+-{si:.4f}" for pi, si in zip(p, se))
-        parts.append(f"{phi.label}: accepted " + "/".join(map(str, acc))
-                     + f" (need >= 200 each at N <= 1e6), p_hat {levels}, "
-                     f"non-increasing within 2se: {mono}, "
-                     f"last below first by 3se: {drop}")
+            passed, detail = False, str(exc)
+        ok = ok and passed
+        parts.append(f"{phi}: {detail}")
     elapsed = time.perf_counter() - t0
     _verdict(9, ok, "; ".join(parts), elapsed, 600.0)
 
 
 def test_criterion_10_support_positivity():
     t0 = time.perf_counter()
-    est = support_positivity(ReferenceCurve.line(1.0, 0.0), 1.0, 100000,
-                             RngSpec(SEED), 2.0 ** -10)
+    ok, detail = _cli_verdict("support", 100000, "2^-10", phi="line 1 0", epsilon=1.0)
     elapsed = time.perf_counter() - t0
-    _verdict(10, est.lower_99 > 0.0,
-             f"P(d(g,phi) < 1) >= {est.lower_99:.5f} at 99% "
-             f"({est.hits}/{est.total} hits)", elapsed, 60.0)
+    _verdict(10, ok, detail, elapsed, 60.0)
 
 
 def test_criterion_11_helix_convergence():

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis.cli import (
+    EXPERIMENTS,
     ReferenceParseError,
     config_hash,
     main,
@@ -14,6 +17,7 @@ from heis.cli import (
     parse_fine_step,
     parse_float_list,
     parse_reference_curve,
+    resolve_config,
 )
 
 
@@ -55,8 +59,9 @@ class TestParsers:
         assert parse_dyadic("0.125") == 0.125
         with pytest.raises(ValueError):
             parse_dyadic("three")
-        with pytest.raises(ValueError):
-            parse_dyadic("-0.5")
+        for bad in ("-0.5", "nan", "inf", "2^-99999"):
+            with pytest.raises(ValueError):
+                parse_dyadic(bad)
 
     def test_fine_step_window(self):
         assert parse_fine_step("2^-6") == 2.0 ** -6
@@ -67,6 +72,9 @@ class TestParsers:
 
     def test_float_list(self):
         assert parse_float_list("2^-2, 0.125,") == [0.25, 0.125]
+        for empty in ("", " , "):
+            with pytest.raises(ValueError):
+                parse_float_list(empty)
 
 
 class TestConfigHash:
@@ -295,3 +303,79 @@ class TestExitCodes:
             res = runner.invoke(main, ["girsanov-ratio", "--trials", "20000",
                                        "--out", "r"])
             assert res.exit_code in (0, 1), res.output
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["levy-law", "--lambdas", "abc"],
+        ["levy-law", "--lambdas", ""],
+        ["tube", "--deltas", "abc"],
+        ["tube", "--deltas", ""],
+        ["girsanov-ratio", "--deltas", "abc"],
+        ["energy-diverge", "--wz-delta", "abc"],
+        ["ws-converge", "--deltas", ""],
+        ["dds-diagnostics", "--times", ""],
+    ])
+    def test_one_line_error_not_traceback(self, runner, argv):
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [*argv, "--trials", "10"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ")
+
+    _TOKENS = st.sampled_from(["", " ", "0", "-1", "0.5", "2^-3", "2**-99999", "1e400",
+                               "nan", "inf", "line", "poly2", "zero", "x"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(flag=st.sampled_from([("levy-law", "--lambdas"), ("tube", "--phi"),
+                                 ("tube", "--deltas"), ("support", "--phi")]),
+           value=st.one_of(st.text(max_size=12),
+                           st.lists(_TOKENS, max_size=4).map(" ".join),
+                           st.lists(_TOKENS, max_size=4).map(",".join)))
+    def test_random_list_and_curve_values_end_cleanly(self, flag, value):
+        """Any value ends in a verdict or a clean error, never a traceback."""
+        name, option = flag
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [name, f"{option}={value}", "--trials", "50",
+                                       "--fine-step", "2^-6", "--out", "r",
+                                       *(["--budget", "50"] if name == "tube" else [])])
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+
+
+_HARNESS = [(["--seed"], None), (["--trials"], None), (["--fine-step"], None),
+            (["--out"], "results"), (["--config"], None)]
+
+# Each command's own options and its defaults (trials, fine_step, parameters).
+_SURFACE = {
+    "simulate": ([], 1, "2^-10", {}),
+    "ws-converge": ([(["--deltas"], None), (["--interpolant"], None)], 2000, "2^-12",
+                    {"deltas": "2^-2,2^-3,2^-4,2^-5", "interpolant": "linear"}),
+    "energy-diverge": ([(["--steps"], None), (["--wz-delta"], None)], 512, "2^-10",
+                       {"steps": "2^-6,2^-7,2^-8,2^-9,2^-10", "wz_delta": "2^-3"}),
+    "tube": ([(["--phi"], None), (["--epsilon"], None), (["--deltas"], None),
+              (["--min-accepted"], None), (["--budget"], None)], 100000, "2^-10",
+             {"phi": "line 1 0", "epsilon": 0.9, "deltas": "0.9,0.8,0.7,0.6",
+              "min_accepted": 200, "budget": 1000000}),
+    "girsanov-ratio": ([(["--phi"], None), (["--deltas"], None)], 200000, "2^-10",
+                       {"phi": "line 1 0", "deltas": "1.0,0.8,0.7,0.6"}),
+    "dds-diagnostics": ([(["--times"], None)], 100000, "2^-10", {"times": "0.25,0.5,1.0"}),
+    "helix": ([(["--n"], None), (["--target"], None), (["--variant"], None),
+               (["--refine"], None)], 1, "2^-10",
+              {"n": "4,8,16,32,64", "target": "0,0,1", "variant": "identity", "refine": 4}),
+    "support": ([(["--phi"], None), (["--epsilon"], None)], 100000, "2^-10",
+                {"phi": "line 1 0", "epsilon": 1.0}),
+    "levy-law": ([(["--lambdas"], None)], 100000, "2^-12", {"lambdas": "0.5,1,2"}),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_command_surface_is_unchanged(name):
+    """Flags and defaults of every registered command, in help order."""
+    assert list(main.commands) == list(_SURFACE)
+    flags, trials, fine_step, parameters = _SURFACE[name]
+    assert [(p.opts, p.default) for p in main.commands[name].params] == flags + _HARNESS
+    assert resolve_config(name, None, None, None, None, {}) == {
+        "experiment": name, "seed": 1, "trials": trials, "fine_step": fine_step,
+        "parameters": parameters}

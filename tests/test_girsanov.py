@@ -14,7 +14,6 @@ from heis.girsanov import (
     DegenerateWeightsError,
     InsufficientAcceptanceError,
     ReferenceCurve,
-    conditional_distance_estimate,
     consistency_gap,
     dds_experiment,
     distance_to_curve,
@@ -134,15 +133,15 @@ class TestTubeEstimates:
         assert not tube_regime_ok(phi, 1.0, 0.5)
 
     def test_out_of_regime_flag(self):
-        est = conditional_distance_estimate(
-            ReferenceCurve.line(1.0, 0.0), 0.5, 1.0, 500, RngSpec(2), 2.0 ** -7)
-        assert est.out_of_regime
-        assert est.accepted + (est.total - est.accepted) == est.total
+        table = tube_decay_experiment(
+            ReferenceCurve.line(1.0, 0.0), 0.5, [1.0, 0.1], 500, RngSpec(2), 2.0 ** -7)
+        assert table.meta["out_of_regime"] == [1.0]
 
     def test_insufficient_acceptance_raises(self):
+        """A ladder no trial reaches raises instead of writing an all-NaN table."""
         with pytest.raises(InsufficientAcceptanceError) as exc:
-            conditional_distance_estimate(
-                ReferenceCurve.line(1.0, 0.0), 0.9, 0.02, 200, RngSpec(3), 2.0 ** -7)
+            tube_decay_experiment(
+                ReferenceCurve.line(1.0, 0.0), 0.9, [0.02, 0.01], 200, RngSpec(3), 2.0 ** -7)
         assert exc.value.accepted == 0
         assert exc.value.total == 200
 
@@ -165,11 +164,6 @@ class TestTubeEstimates:
         assert table.meta["inconclusive"]
         assert table.rows[1][4] == 0 and math.isnan(table.rows[1][2])
 
-    def test_ladder_all_empty_raises(self):
-        with pytest.raises(InsufficientAcceptanceError):
-            tube_decay_experiment(
-                ReferenceCurve.line(1.0, 0.0), 0.9, [0.01], 100, RngSpec(9), 2.0 ** -7)
-
     @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0),
                                      ReferenceCurve.poly2(1.0, 1.0)],
                              ids=["line", "poly2"])
@@ -191,8 +185,6 @@ class TestTubeEstimates:
             assert (d, k, total) == (delta, int(np.sum(acc)), n)
             assert p == exceed / k and se == binomial_stderr(exceed, k)
         assert all(0 < row[2] < 1 for row in table.rows[:2])  # not trivially 0 or 1
-        est = conditional_distance_estimate(phi, eps, deltas[1], n, rng, grid.step)
-        assert (est.accepted, est.p_hat) == (table.rows[1][4], table.rows[1][2])
 
     def test_min_accepted_escalates_trials(self):
         phi = ReferenceCurve.line(1.0, 0.0)

@@ -23,7 +23,7 @@ GOLDEN = {
     "dds-diagnostics": (
         ["dds-diagnostics", "--fine-step", "2^-10", "--times", "0.25,0.5,1.0",
          "--trials", "10000", "--seed", "1000"],
-        "a56020b5aaa667a05a2a1a2b625ede549453d31fde1c1e8e8e27e9858a72e9c4",
+        "27f61c6ce2c3447a81041287ca19071dd475b1273e1aeabee52b4bcaecde9fc3",
     ),
     "tube": (
         ["tube", "--phi", "line 1 0", "--epsilon", "0.9", "--deltas", "1.0,0.8",
