@@ -164,6 +164,11 @@ class TestTubeEstimates:
         assert table.meta["inconclusive"]
         assert table.rows[1][4] == 0 and math.isnan(table.rows[1][2])
 
+    def test_ladder_all_empty_raises(self):
+        with pytest.raises(InsufficientAcceptanceError):
+            tube_decay_experiment(
+                ReferenceCurve.line(1.0, 0.0), 0.9, [0.01], 100, RngSpec(9), 2.0 ** -7)
+
     @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0),
                                      ReferenceCurve.poly2(1.0, 1.0)],
                              ids=["line", "poly2"])
