@@ -78,9 +78,10 @@ def main():
 
     print()
     print("positive mass near the lifted curve at unit scale (group distance):")
-    est = support_positivity(phi, 1.0, 20000, RngSpec(args.seed), FINE)
-    print(f"  P(d(g, phi-lift) < 1) = {est.p_hat:.5f}, "
-          f"99% lower bound {est.lower_99:.5f} ({est.hits}/{est.total} hits)")
+    table = support_positivity(phi, 1.0, 20000, RngSpec(args.seed), FINE)
+    (_, p_hat, _, lower_99, hits, total, _), = table.rows
+    print(f"  P(d(g, phi-lift) < 1) = {p_hat:.5f}, "
+          f"99% lower bound {lower_99:.5f} ({hits}/{total} hits)")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .paths import (
     maurer_cartan,
     path_distance,
     read_path_csv,
-    write_path_csv,
 )
 from .rng import RngSpec
 from .sde import (
@@ -51,11 +50,8 @@ from .sde import (
 )
 from .girsanov import (
     ConsistencyError,
-    DegenerateWeightsError,
-    InsufficientAcceptanceError,
     ReferenceCurve,
     ShiftSamplerResult,
-    SupportEstimate,
     dds_experiment,
     distance_to_curve,
     exp_martingale,

@@ -143,6 +143,16 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _file_value(option: click.Parameter, value):
+    """A config-file value, converted by its flag's type from the text the
+    flag would be given (a JSON string as is, any other value as JSON)."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return option.type.convert(text, option, None)
+    except click.BadParameter as exc:
+        raise click.ClickException(f"invalid config: {option.name}: {exc.message}")
+
+
 def resolve_config(experiment: str, config_file, seed, trials, fine_step, overrides: dict) -> dict:
     spec = EXPERIMENTS[experiment]
     cfg = {
@@ -157,15 +167,21 @@ def resolve_config(experiment: str, config_file, seed, trials, fine_step, overri
             loaded = json.loads(Path(config_file).read_text())
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise click.ClickException("config file must hold a JSON object")
+        if not isinstance(loaded, dict) or not isinstance(loaded.get("parameters", {}), dict):
+            raise click.ClickException("config file and its parameters must be JSON objects")
         if "experiment" in loaded and loaded["experiment"] != experiment:
             raise click.ClickException(
                 f"config file is for {loaded['experiment']!r}, not {experiment!r}")
+        unknown = (set(loaded) - {"experiment", "seed", "trials", "fine_step", "parameters"}
+                   | set(loaded.get("parameters", {})) - set(spec.parameters))
+        if unknown:
+            raise click.ClickException(f"invalid config: unknown keys {sorted(unknown)}")
+        options = {p.name: p for p in main.commands[experiment].params}
         for key in ("seed", "trials", "fine_step"):
             if key in loaded:
-                cfg[key] = loaded[key]
-        cfg["parameters"].update(loaded.get("parameters", {}))
+                cfg[key] = _file_value(options[key], loaded[key])
+        for key, val in loaded.get("parameters", {}).items():
+            cfg["parameters"][key] = _file_value(options[key], val)
     if seed is not None:
         cfg["seed"] = seed
     if trials is not None:
@@ -176,8 +192,6 @@ def resolve_config(experiment: str, config_file, seed, trials, fine_step, overri
         if val is not None:
             cfg["parameters"][key] = val
     try:
-        cfg["seed"] = int(cfg["seed"])
-        cfg["trials"] = int(cfg["trials"])
         if cfg["trials"] < 1:
             raise ValueError("trials must be >= 1")
         parse_fine_step(cfg["fine_step"])
@@ -337,7 +351,7 @@ def _tube_verdicts(table, parameters):
                    "accepted " + ", ".join(str(int(a)) for a in acc)
                    + f" (need >= {parameters['min_accepted']})"),
         _assertion("non-increasing-2se", mono,
-                   "p_hat " + ", ".join(f"{x:.4f}" for x in pv)),
+                   "p_hat " + (", ".join(f"{x:.4f}" for x in pv) or "none usable")),
         _assertion("last-below-first-3se", bool(drop),
                    f"first {pv[0]:.4f}, last {pv[-1]:.4f}" if len(pv) >= 2
                    else "fewer than two usable levels"),
@@ -365,7 +379,7 @@ def _girsanov_ratio_verdicts(table, parameters):
                    f"E[weight] = {mw:.5f} +- {mw_se:.5f}"),
         _assertion("trend-toward-target", trend,
                    f"|estimate - {target:.5f}|: "
-                   + ", ".join(f"{g:.4f}" for g in gaps)),
+                   + (", ".join(f"{g:.4f}" for g in gaps) or "none usable")),
         _assertion("final-near-target",
                    bool(valid.any()) and gaps[-1] <= 3.0 * sev[-1] + 0.02,
                    f"last estimate {ev[-1]:.5f} vs target {target:.5f}"
@@ -418,16 +432,9 @@ def _helix_verdicts(table, parameters):
 
 
 def _support(cfg) -> ResultTable:
-    fine = parse_fine_step(cfg["fine_step"])
-    est = girsanov.support_positivity(
+    return girsanov.support_positivity(
         _phi(cfg), float(cfg["parameters"]["epsilon"]), cfg["trials"],
-        RngSpec(cfg["seed"]), fine)
-    return ResultTable(
-        ["epsilon", "p_hat", "stderr", "lower_99", "hits", "total", "seed"],
-        [(est.epsilon, est.p_hat, est.stderr, est.lower_99, est.hits,
-          est.total, est.seed)],
-        {"experiment": "support", "seed": est.seed, "fine_step": fine},
-    )
+        RngSpec(cfg["seed"]), parse_fine_step(cfg["fine_step"]))
 
 
 def _support_verdicts(table, parameters):
@@ -470,8 +477,6 @@ class Experiment:
     options: tuple
     run: Callable[[dict], ResultTable]
     verdicts: Callable[[ResultTable, dict], tuple]
-    # the CSV columns written when the conditioning event is never hit
-    empty_columns: tuple = ()
     # config fields the output does not depend on, left out of the hash
     unhashed: tuple = ()
 
@@ -483,9 +488,6 @@ def _command(spec: Experiment):
         try:
             table = spec.run(cfg)
             assertions, inconclusive = spec.verdicts(table, cfg["parameters"])
-        except girsanov.InsufficientAcceptanceError as exc:
-            table = ResultTable(list(spec.empty_columns), [], {"error": str(exc)})
-            assertions, inconclusive = [], True
         except ValueError as exc:
             raise click.ClickException(str(exc))
         # looked up at call time, so a wrapper bound to heis.cli._finish sees it
@@ -528,12 +530,12 @@ EXPERIMENTS = {spec.name: spec for spec in (
          click.option("--deltas", default=None, help="Tube radii ladder."),
          click.option("--min-accepted", "min_accepted", type=int, default=None),
          click.option("--budget", type=int, default=None)),
-        _tube, _tube_verdicts, empty_columns=girsanov.TUBE_COLUMNS),
+        _tube, _tube_verdicts),
     Experiment(
         "girsanov-ratio", "Tube-conditioned mean of the exponential martingale weight.",
         200000, "2^-10", {"phi": "line 1 0", "deltas": "1.0,0.8,0.7,0.6"},
         (_PHI, click.option("--deltas", default=None, help="Centered tube radii ladder.")),
-        _girsanov_ratio, _girsanov_ratio_verdicts, empty_columns=girsanov.RATIO_COLUMNS),
+        _girsanov_ratio, _girsanov_ratio_verdicts),
     Experiment(
         "dds-diagnostics",
         "Variance of the area versus the mean quarter clock, plus independence.",

@@ -4,11 +4,15 @@ The reference curves are horizontal lifts of piecewise-C^2 planar curves
 (built by the small grammar in the CLI). Two estimation routes exist for tube
 quantities:
 
-  - rejection sampling (exact conditioning), the primary estimator;
+  - rejection sampling (exact conditioning), the primary estimator. The tube
+    ladder and support positivity share one scan, _tube_scan, and every
+    conditioned estimate returns a ResultTable: a level that no trial
+    reaches is a NaN row that marks the table inconclusive, even when every
+    level is empty;
   - the mean-shift sampler: simulate centered paths, translate by phi, weight
-    with the finite-grid likelihood ratio. It serves as a cross-check; the
-    shift does not remove the small-ball cost, because the acceptance event
-    becomes the centered tube.
+    with the finite-grid likelihood ratio. It serves as a cross-check of the
+    tube probability; the shift does not remove the small-ball cost, because
+    the acceptance event becomes the centered tube.
 
 Stochastic integrals are left-point sums on the fine grid. The martingale
 weight uses the exact integral of |phi'|^2 for its compensator. The shift
@@ -27,32 +31,6 @@ from .paths import HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
 from .sde import DiffusionSample, _trial_chunks, levy_area
-
-# Columns of the tube and girsanov-ratio tables; the CLI writes them alone
-# when no trial lands in any tube.
-TUBE_COLUMNS = ("delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed")
-RATIO_COLUMNS = ("delta", "estimate", "stderr", "accepted", "total", "target", "seed")
-
-
-class InsufficientAcceptanceError(RuntimeError):
-    """Conditioning event was never hit; carries the raw counts."""
-
-    def __init__(self, accepted: int, total: int, context: str = ""):
-        self.accepted = accepted
-        self.total = total
-        msg = f"conditioning event hit {accepted} of {total} trials"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
-
-
-class DegenerateWeightsError(RuntimeError):
-    """Importance weights collapsed (effective sample size < 10)."""
-
-    def __init__(self, ess: float):
-        self.ess = ess
-        super().__init__(f"effective sample size {ess:.2f} < 10")
-
 
 class ConsistencyError(AssertionError):
     """Left-point and by-parts discretizations disagreed beyond O(h)."""
@@ -248,7 +226,8 @@ def tube_decay_experiment(
     the raw trial count is raised (x10) until every level holds that many
     accepted samples or the budget is exhausted. Each raise scans only the
     new trials and appends them, which trial keying makes the same as a
-    single scan of all n.
+    single scan of all n. A level that no trial reaches is a NaN row and
+    marks the table inconclusive, on an all-empty ladder too.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     widest = max(float(d) for d in deltas)
@@ -264,8 +243,6 @@ def tube_decay_experiment(
         more_dev, more_dist = _tube_scan(phi, n - n_prev, rng.child(n_prev), grid, widest)
         dev = np.concatenate([dev, more_dev])
         dist = np.concatenate([dist, more_dist])
-    if max(counts) == 0:
-        raise InsufficientAcceptanceError(0, n, f"all levels empty, phi={phi.label}")
     rows = []
     for d in deltas:
         acc = dev < d
@@ -276,7 +253,7 @@ def tube_decay_experiment(
         exceed = int(np.sum(acc & (dist > epsilon)))
         rows.append((float(d), float(epsilon), exceed / k, binomial_stderr(exceed, k), k, n, rng.seed))
     return ResultTable(
-        list(TUBE_COLUMNS),
+        ["delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed"],
         rows,
         {
             "experiment": "tube",
@@ -297,7 +274,6 @@ class ShiftSamplerResult:
     phi_label: str
     weights: np.ndarray  # finite-grid likelihood ratio per trial
     centered_dev: np.ndarray  # sup |B| per trial (tube event after shifting)
-    shifted_distance: np.ndarray  # d(g(B + phi), phi) per trial
     seed: int
 
     def mean_weight(self):
@@ -308,21 +284,6 @@ class ShiftSamplerResult:
         vals = self.weights * (self.centered_dev < delta)
         return mean_and_stderr(vals)
 
-    def conditional_exceedance(self, delta: float, epsilon: float):
-        """Weighted estimate of P(d > epsilon | tube); checks weight health."""
-        acc = self.centered_dev < delta
-        w = self.weights[acc]
-        if w.size == 0:
-            raise InsufficientAcceptanceError(0, self.weights.size, f"delta={delta}")
-        ess = float(np.sum(w) ** 2 / np.sum(w * w))
-        if ess < 10.0:
-            raise DegenerateWeightsError(ess)
-        x = (self.shifted_distance[acc] > epsilon).astype(float)
-        total = float(np.sum(w))
-        p = float(np.sum(w * x) / total)
-        se = float(np.sqrt(np.sum((w * (x - p)) ** 2)) / total)
-        return p, se, ess
-
 
 def girsanov_shift_sampler(
     phi: ReferenceCurve,
@@ -330,23 +291,20 @@ def girsanov_shift_sampler(
     rng: RngSpec,
     fine_step: float = 2.0 ** -10,
 ) -> ShiftSamplerResult:
-    """Simulate centered B, form B + phi, weight by the discrete likelihood.
+    """Simulate centered B and weight it by the discrete likelihood of B + phi.
 
-    The area of the shifted path is the same left-point functional applied to
-    the shifted node values, so every estimate is a plain path functional.
+    The shifted path leaves the tube around phi exactly when B leaves the
+    centered tube, so each trial keeps its weight and sup |B|.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    nodes = phi.planar_at(grid.times)
+    origin = ReferenceCurve.zero()
     w = np.empty(n_trials)
     dev = np.empty(n_trials)
-    dist = np.empty(n_trials)
     for start, paths in _trial_chunks(grid, rng, n_trials):
         nb = paths.shape[0]
         w[start:start + nb] = shift_weight(phi, paths, grid)
-        dev[start:start + nb] = np.sqrt(np.max(sq_norm(paths), axis=-1))
-        shifted = paths + nodes
-        dist[start:start + nb] = distance_to_curve(phi, shifted, levy_area(shifted), grid)
-    return ShiftSamplerResult(phi.label, w, dev, dist, rng.seed)
+        dev[start:start + nb] = tube_deviation(origin, paths, grid)
+    return ShiftSamplerResult(phi.label, w, dev, rng.seed)
 
 
 def girsanov_ratio_experiment(
@@ -360,11 +318,14 @@ def girsanov_ratio_experiment(
 
     The target of the trend is exp(-planar_energy / 2). A built-in check
     verifies the two Ito discretizations agree to O(h) on the first chunk.
-    Levels that were never hit appear with NaN estimates and mark the table
-    inconclusive; if no level is ever hit the experiment raises.
+    Levels that were never hit, all of them included, appear with NaN
+    estimates and mark the table inconclusive. sup |B| is capped at the
+    widest radius, as in _tube_scan.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     h = grid.step
+    origin = ReferenceCurve.zero()
+    widest = max(float(d) for d in deltas)
     weights = np.empty(n_trials)
     dev = np.empty(n_trials)
     checked = False
@@ -379,7 +340,7 @@ def girsanov_ratio_experiment(
                 )
             checked = True
         weights[start:start + nb] = exp_martingale(phi, paths, grid)
-        dev[start:start + nb] = np.sqrt(np.max(sq_norm(paths), axis=-1))
+        dev[start:start + nb] = tube_deviation(origin, paths, grid, cap=widest)
     target = math.exp(-0.5 * phi.planar_energy)
     rows = []
     for d in deltas:
@@ -390,11 +351,9 @@ def girsanov_ratio_experiment(
             continue
         est, se = mean_and_stderr(weights[acc]) if k > 1 else (float(weights[acc][0]), float("nan"))
         rows.append((float(d), est, se, k, n_trials, target, rng.seed))
-    if all(r[3] == 0 for r in rows):
-        raise InsufficientAcceptanceError(0, n_trials, "every delta level empty")
     mean_w, mean_w_se = mean_and_stderr(weights)
     return ResultTable(
-        list(RATIO_COLUMNS),
+        ["delta", "estimate", "stderr", "accepted", "total", "target", "seed"],
         rows,
         {
             "experiment": "girsanov-ratio",
@@ -480,46 +439,29 @@ def dds_experiment(n_trials: int, fine_step: float, times, rng: RngSpec) -> Resu
     return table
 
 
-@dataclass(frozen=True)
-class SupportEstimate:
-    epsilon: float
-    p_hat: float
-    stderr: float
-    lower_99: float
-    hits: int
-    total: int
-    seed: int
-
-
 def support_positivity(
     phi: ReferenceCurve,
     epsilon: float,
     n_trials: int,
     rng: RngSpec,
     fine_step: float = 2.0 ** -10,
-) -> SupportEstimate:
+) -> ResultTable:
     """Estimate P(d(g, phi) < epsilon) with an exact 99% lower bound.
 
-    The area and the distance are formed only for trials whose planar
-    deviation is below epsilon (1 + 1e-9). The distance is at least the
-    planar gap at every node, (|x|^4 + z^2)^(1/4) >= |x|, so no other trial
-    can hit; the margin covers the few ulps by which rounding in the quartic
-    and the 1/4 power can put the computed distance below the computed gap.
+    One row: epsilon, p_hat, stderr, lower_99, hits, total, seed. The scan
+    is _tube_scan with the widest radius epsilon (1 + 1e-9), so the area and
+    the distance are formed only for trials whose planar deviation is below
+    it. The distance is at least the planar gap at every node,
+    (|x|^4 + z^2)^(1/4) >= |x|, so no other trial can hit; the margin covers
+    the few ulps by which rounding in the quartic and the 1/4 power can put
+    the computed distance below the computed gap.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    hits = 0
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        cap = epsilon * (1.0 + 1e-9)
-        near = paths[tube_deviation(phi, paths, grid, cap=cap) < cap]
-        dist = distance_to_curve(phi, near, levy_area(near), grid)
-        hits += int(np.sum(dist < epsilon))
-    p = hits / n_trials
-    return SupportEstimate(
-        epsilon=float(epsilon),
-        p_hat=p,
-        stderr=binomial_stderr(hits, n_trials),
-        lower_99=clopper_pearson_lower(hits, n_trials, 0.99),
-        hits=hits,
-        total=n_trials,
-        seed=rng.seed,
+    _, dist = _tube_scan(phi, n_trials, rng, grid, epsilon * (1.0 + 1e-9))
+    hits = int(np.sum(dist < epsilon))
+    return ResultTable(
+        ["epsilon", "p_hat", "stderr", "lower_99", "hits", "total", "seed"],
+        [(float(epsilon), hits / n_trials, binomial_stderr(hits, n_trials),
+          clopper_pearson_lower(hits, n_trials, 0.99), hits, n_trials, rng.seed)],
+        {"experiment": "support", "seed": rng.seed, "fine_step": fine_step},
     )

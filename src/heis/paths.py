@@ -350,14 +350,8 @@ def energy(c: HorizontalCurve) -> float:
     return float(np.sum(sq_norm(dx) / dt))
 
 
-def write_path_csv(path: SampledPath, fh):
-    """CSV with header t,x,y,z; 17 significant digits per value."""
-    fh.write("t,x,y,z\n")
-    for t, (x, y), z in zip(path.grid.times, path.planar, path.z):
-        fh.write(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
-
-
 def read_path_csv(fh, interpolation="linear") -> SampledPath:
+    """The t,x,y,z table that the simulate command writes, as a path."""
     header = fh.readline().strip()
     if header != "t,x,y,z":
         raise ValueError(f"unexpected header {header!r}")

@@ -25,20 +25,19 @@ from typing import Callable
 import numpy as np
 
 from .group import group_distance_array, omega
-from .paths import _GL_NODES, _GL_WEIGHTS, AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
+from .paths import _GL_NODES, _GL_WEIGHTS, AnalyticBundle, HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
 
 
 def sample_bm(grid: TimeGrid, rng: RngSpec) -> np.ndarray:
-    """Planar Brownian path at the grid nodes, started at 0; shape (n+1, 2)."""
-    h = grid.step
-    n = grid.n_steps
-    inc = rng.generator().standard_normal((n, 2)) * math.sqrt(h)
-    out = np.empty((n + 1, 2))
-    out[0] = 0.0
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
+    """Planar Brownian path at the grid nodes, started at 0; shape (n+1, 2).
+
+    The path of trial 0 of rng, drawn as _trial_chunks draws every row.
+    """
+    out = np.empty((1, grid.n_steps + 1, 2))
+    _draw_rows(rng, 0, out, math.sqrt(grid.step))
+    return out[0]
 
 
 def area_increments(planar: np.ndarray) -> np.ndarray:
@@ -71,9 +70,6 @@ class DiffusionSample:
     planar: np.ndarray
     area: np.ndarray
     rng: RngSpec
-
-    def path(self) -> SampledPath:
-        return SampledPath(self.grid, self.planar, self.area, "nodes")
 
 
 def hypoelliptic_bm(grid: TimeGrid, rng: RngSpec) -> DiffusionSample:
@@ -188,10 +184,6 @@ class WongZakaiPath:
     area: np.ndarray
     horizontal: HorizontalCurve
 
-    def path(self) -> SampledPath:
-        interp = "linear" if self.interpolants[0] is LINEAR and self.interpolants[1] is LINEAR else "nodes"
-        return SampledPath(self.grid, self.planar, self.area, interp)
-
 
 def wong_zakai(sample: DiffusionSample, delta: float, interpolant=LINEAR) -> WongZakaiPath:
     """Smoothed horizontal path: coarse-step interpolation of B plus the lift.
@@ -264,11 +256,11 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float) -> None:
     """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1.
 
     Each path starts at 0 and sums its normals, scaled by s, in order. Runs
-    on the helper thread of _trial_chunks and on the caller. It draws through
-    its own re-keyed generator and calls only RngSpec.child and
-    child_generators: perfbench/tracing.py times the package's public
-    functions on one span stack, which a call from a second thread would
-    corrupt.
+    on the helper thread of _trial_chunks and on the caller, and draws the
+    one path of sample_bm. It draws through its own re-keyed generator and
+    calls only RngSpec.child and child_generators: perfbench/tracing.py
+    times the package's public functions on one span stack, which a call
+    from a second thread would corrupt.
     """
     rows[:, 0] = 0.0
     steps = rows[:, 1:]

@@ -19,14 +19,7 @@ import conftest
 from heis.cli import EXPERIMENTS
 from heis.cli import main as cli_main
 from heis.density import HelixSpec, helix_convergence, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
-from heis.girsanov import (
-    InsufficientAcceptanceError,
-    ReferenceCurve,
-    dds_experiment,
-    girsanov_ratio_experiment,
-    girsanov_shift_sampler,
-    tube_deviation,
-)
+from heis.girsanov import ReferenceCurve, girsanov_shift_sampler, tube_deviation
 from heis.group import (
     group_distance_array,
     homogeneous_norm_array,
@@ -181,22 +174,9 @@ def test_criterion_06_energy_divergence():
 
 def test_criterion_07_dds_diagnostics():
     t0 = time.perf_counter()
-    table = dds_experiment(100000, 2.0 ** -10, [0.25, 0.5, 1.0], RngSpec(SEED))
-    ok = True
-    parts = []
-    for t, var, tau, c1, c2, se_v, se_t, se_c1, se_c2 in table.rows:
-        match = abs(var - tau) <= 3.0 * math.hypot(se_v, se_t)
-        ok = ok and match
-        parts.append(f"t={t:g}: Var(A)={var:.5f} vs E[tau]={tau:.5f}")
-        if t == 1.0:
-            clock = abs(tau - 0.25) <= 3.0 * se_t
-            indep = abs(c1) <= 3.0 * se_c1 and abs(c2) <= 3.0 * se_c2
-            ok = ok and clock and indep
-            parts.append(f"E[tau(1)]-0.25 = {tau - 0.25:+.5f} (3se {3 * se_t:.5f}), "
-                         f"corr(A_1,B(1)) = ({c1:+.4f},{c2:+.4f}) "
-                         f"(3se {3 * se_c1:.4f}, {3 * se_c2:.4f})")
+    ok, detail = _cli_verdict("dds-diagnostics", 100000, "2^-10", times="0.25,0.5,1.0")
     elapsed = time.perf_counter() - t0
-    _verdict(7, ok, "; ".join(parts), elapsed, 120.0)
+    _verdict(7, ok, detail, elapsed, 120.0)
 
 
 def test_criterion_08_girsanov_suite():
@@ -233,13 +213,11 @@ def test_criterion_08_girsanov_suite():
     could never be measured.
     """
     t0 = time.perf_counter()
-    phi = ReferenceCurve.line(1.0, 0.0)
-    deltas = [1.0, 0.8, 0.7, 0.6]
-    table = girsanov_ratio_experiment(phi, deltas, 200000, RngSpec(SEED))
-    mw, mw_se = table.meta["mean_weight"], table.meta["mean_weight_stderr"]
-    mean_ok = abs(mw - 1.0) <= 3.0 * mw_se
+    passed, detail = _cli_verdict("girsanov-ratio", 200000, "2^-10", phi="line 1 0",
+                                  deltas="1.0,0.8,0.7,0.6")
 
     # shift-vs-rejection cross-check of the tube probability at delta = 1
+    phi = ReferenceCurve.line(1.0, 0.0)
     n = 50000
     grid = TimeGrid.uniform(1024)
     dev = np.empty(n)
@@ -251,25 +229,10 @@ def test_criterion_08_girsanov_suite():
     shift = girsanov_shift_sampler(phi, n, RngSpec(SEED, 2 * 10 ** 6))
     p_sh, se_sh = shift.tube_probability(1.0)
     agree = abs(p_sh - p_rej) <= 3.0 * math.hypot(se_rej, se_sh)
-
-    target = table.meta["target"]
-    rows = table.rows
-    usable = [(d, e, s, acc) for d, e, s, acc, *_ in rows if acc > 0]
-    gaps = [abs(e - target) for _, e, s, _ in usable]
-    ses = [s for _, _, s, _ in usable]
-    trend = all(gaps[i + 1] <= gaps[i] + 2.0 * math.hypot(ses[i], ses[i + 1])
-                for i in range(len(usable) - 1))
-    final_level_measured = usable and usable[-1][0] == deltas[-1]
-    final_tol = 3.0 * ses[-1] + 0.02 if final_level_measured else float("nan")
-    final_gap = gaps[-1] if final_level_measured else float("nan")
-    final_ok = bool(final_level_measured and final_gap <= final_tol)
-    counts = ", ".join(f"delta={d:g}: {int(acc)}" for d, _, _, acc, *_ in rows)
     elapsed = time.perf_counter() - t0
-    _verdict(8, mean_ok and agree and trend and final_ok,
-             f"E[weight] = {mw:.4f} +- {mw_se:.4f}; shift vs rejection tube "
-             f"prob {p_sh:.4f} vs {p_rej:.4f}; trend toward {target:.5f}: "
-             f"{trend}; final level gap {final_gap:.4f} <= 3se+0.02 = "
-             f"{final_tol:.4f}: {final_ok} (accepted {counts})", elapsed, 300.0)
+    _verdict(8, passed and agree,
+             f"{detail}; shift vs rejection tube prob {p_sh:.4f} vs {p_rej:.4f} "
+             f"(3se {3.0 * math.hypot(se_rej, se_sh):.4f})", elapsed, 300.0)
 
 
 def test_criterion_09_tube_conditioned_decay():
@@ -306,12 +269,9 @@ def test_criterion_09_tube_conditioned_decay():
     parts = []
     ok = True
     for phi in ("line 1 0", "poly2 1 1"):
-        try:
-            passed, detail = _cli_verdict("tube", 10 ** 6, "2^-10", phi=phi, epsilon=0.9,
-                                          deltas="0.9,0.8,0.7,0.6", min_accepted=200,
-                                          budget=10 ** 6)
-        except InsufficientAcceptanceError as exc:
-            passed, detail = False, str(exc)
+        passed, detail = _cli_verdict("tube", 10 ** 6, "2^-10", phi=phi, epsilon=0.9,
+                                      deltas="0.9,0.8,0.7,0.6", min_accepted=200,
+                                      budget=10 ** 6)
         ok = ok and passed
         parts.append(f"{phi}: {detail}")
     elapsed = time.perf_counter() - t0

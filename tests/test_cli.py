@@ -268,8 +268,10 @@ class TestExitCodes:
                                        "--min-accepted", "10",
                                        "--fine-step", "2^-7", "--out", "r"])
             assert res.exit_code == 2, res.output
-            header = Path("r/tube.csv").read_text().splitlines()[0]
-            assert header == "delta,epsilon,p_hat,stderr,accepted,total,seed"
+            assert Path("r/tube.csv").read_text() == (
+                "delta,epsilon,p_hat,stderr,accepted,total,seed\n"
+                "0.050000000000000003,0.90000000000000002,nan,nan,0,200,1\n"
+                "0.02,0.90000000000000002,nan,nan,0,200,1\n")
 
     def test_tube_underpowered_is_inconclusive_not_fail(self, runner):
         with runner.isolated_filesystem():
@@ -338,6 +340,50 @@ class TestBadInput:
         runner = CliRunner()
         with runner.isolated_filesystem():
             res = runner.invoke(main, [name, f"{option}={value}", "--trials", "50",
+                                       "--fine-step", "2^-6", "--out", "r",
+                                       *(["--budget", "50"] if name == "tube" else [])])
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+
+    @pytest.mark.parametrize("name,loaded", [
+        ("ws-converge", {"parameters": {"interpolant": "bogus"}}),
+        ("tube", {"parameters": {"phi": 5}}),
+        ("support", {"parameters": {"phi": None}}),
+        ("tube", {"parameters": {"min_accepted": None}}),
+        ("support", {"seed": None}),
+        ("support", {"parameters": [1]}),
+        ("support", {"parameters": {"epsilom": 0.5}}),
+        ("support", {"seeds": 3}),
+    ])
+    def test_config_file_value_is_checked_like_its_flag(self, runner, name, loaded):
+        with runner.isolated_filesystem():
+            Path("c.json").write_text(json.dumps(loaded))
+            res = runner.invoke(main, [name, "--config", "c.json", "--trials", "10",
+                                       "--fine-step", "2^-6", "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ")
+
+    _JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                      st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf")]),
+                      st.text(max_size=8), st.lists(st.integers(0, 2), max_size=2),
+                      st.sampled_from(["line 1 0", "zero", "0.9,0.6", "2^-2", "linear",
+                                       "smoothstep", "1.5"]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from([("ws-converge", "interpolant"), ("ws-converge", "deltas"),
+                                 ("tube", "phi"), ("tube", "epsilon"), ("tube", "deltas"),
+                                 ("tube", "min_accepted"), ("support", "phi"),
+                                 ("support", "epsilon"), ("support", "seed")]),
+           value=_JSON)
+    def test_random_config_file_values_end_cleanly(self, case, value):
+        """Any config-file value ends in a verdict or a clean error."""
+        name, key = case
+        loaded = {key: value} if key == "seed" else {"parameters": {key: value}}
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            Path("c.json").write_text(json.dumps(loaded))
+            res = runner.invoke(main, [name, "--config", "c.json", "--trials", "20",
                                        "--fine-step", "2^-6", "--out", "r",
                                        *(["--budget", "50"] if name == "tube" else [])])
         assert res.exit_code in (0, 1, 2), res.output

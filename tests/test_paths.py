@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from heis.cli import EXPERIMENTS
 from heis.group import GroupElement, group_distance_array, omega
 from heis.paths import (
     GridMismatchError,
@@ -21,8 +22,9 @@ from heis.paths import (
     maurer_cartan,
     path_distance,
     read_path_csv,
-    write_path_csv,
 )
+from heis.rng import RngSpec
+from heis.sde import hypoelliptic_bm
 
 
 def random_pl_path(rng, n_steps=128):
@@ -214,17 +216,17 @@ def test_sampled_path_resample_linear():
 
 
 def test_csv_round_trip_is_exact():
-    rng = np.random.default_rng(21)
-    grid = TimeGrid.uniform(32)
-    c = horizontal_lift(random_pl_path(rng, 32), grid)
-    p = c.sample()
+    """simulate's table reads back as the path it was written from."""
+    table = EXPERIMENTS["simulate"].run(
+        {"seed": 21, "trials": 1, "fine_step": "2^-6", "parameters": {}})
     buf = io.StringIO()
-    write_path_csv(p, buf)
+    table.to_csv(buf)
     buf.seek(0)
     q = read_path_csv(buf)
-    np.testing.assert_array_equal(p.planar, q.planar)
-    np.testing.assert_array_equal(p.z, q.z)
-    np.testing.assert_array_equal(p.grid.times, q.grid.times)
+    s = hypoelliptic_bm(TimeGrid.uniform(64), RngSpec(21))
+    np.testing.assert_array_equal(s.planar, q.planar)
+    np.testing.assert_array_equal(s.area, q.z)
+    np.testing.assert_array_equal(s.grid.times, q.grid.times)
 
 
 def test_csv_rejects_bad_header():

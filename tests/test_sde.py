@@ -95,6 +95,17 @@ def _per_trial_paths(grid, rng, n_trials):
     return out
 
 
+@pytest.mark.parametrize("n_steps", [1, 64, 1023, 1024, 4096])
+@pytest.mark.parametrize("rng", [RngSpec(78), RngSpec(-6, 2 ** 64 - 1)],
+                         ids=["plain", "wraps-2^64"])
+def test_sample_bm_is_row_zero_of_the_trial_source(n_steps, rng):
+    grid = TimeGrid.uniform(n_steps)
+    path = sample_bm(grid, rng)
+    (_, paths), = _trial_chunks(grid, rng, 2)
+    np.testing.assert_array_equal(path, paths[0])
+    np.testing.assert_array_equal(path, _per_trial_paths(grid, rng, 1)[0])
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 @pytest.mark.parametrize("rng", [RngSpec(77), RngSpec(-5, 2 ** 64 - 3)],
                          ids=["plain", "wraps-2^64"])
