@@ -490,6 +490,9 @@ def _command(spec: Experiment):
             assertions, inconclusive = spec.verdicts(table, cfg["parameters"])
         except ValueError as exc:
             raise click.ClickException(str(exc))
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise click.ClickException(f"out of memory, try fewer trials{detail}")
         # looked up at call time, so a wrapper bound to heis.cli._finish sees it
         _finish(out, spec.name, cfg, assertions, inconclusive, table.to_csv,
                 table.meta, started)

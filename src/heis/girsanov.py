@@ -5,10 +5,11 @@ The reference curves are horizontal lifts of piecewise-C^2 planar curves
 quantities:
 
   - rejection sampling (exact conditioning), the primary estimator. The tube
-    ladder and support positivity share one scan, _tube_scan, and every
-    conditioned estimate returns a ResultTable: a level that no trial
-    reaches is a NaN row that marks the table inconclusive, even when every
-    level is empty;
+    ladder and support positivity share one scan, _tube_scan, which reduces
+    each chunk of trials to integer counts per radius, so their memory does
+    not grow with the trial count. Every conditioned estimate returns a
+    ResultTable: a level that no trial reaches is a NaN row that marks the
+    table inconclusive, even when every level is empty;
   - the mean-shift sampler: simulate centered paths, translate by phi, weight
     with the finite-grid likelihood ratio. It serves as a cross-check of the
     tube probability; the shift does not remove the small-ball cost, because
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .group import group_distance_array, sq_norm
-from .paths import HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
+from .paths import HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
 from .sde import DiffusionSample, _trial_chunks, levy_area
@@ -95,9 +96,6 @@ class ReferenceCurve:
 
     def z_at(self, times) -> np.ndarray:
         return self.z_fn(np.asarray(times, float))
-
-    def sampled(self, grid: TimeGrid) -> SampledPath:
-        return SampledPath(grid, self.planar_at(grid.times), self.z_at(grid.times), "linear")
 
     def lift(self, grid: TimeGrid) -> HorizontalCurve:
         return horizontal_lift(self.planar_fn, grid, dx_fn=self.dplanar_fn,
@@ -186,27 +184,32 @@ def tube_regime_ok(phi: ReferenceCurve, delta: float, epsilon: float) -> bool:
     return epsilon * epsilon > delta * phi.total_variation + delta * delta
 
 
-def _tube_scan(phi, n_trials, rng, grid, delta_max):
-    """One pass of rejection trials; returns per-trial (deviation, distance).
+def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
+    """One pass of rejection trials, reduced chunk by chunk to counts.
 
-    The deviation is exact for trials inside the widest tube (deviation <
-    delta_max); every other trial gets a lower bound of it that is at least
-    delta_max (tube_deviation's cap), so it is rejected at every level as
-    before. The area and the distance are formed only for trials inside the
-    widest tube; every other trial gets distance NaN. A rejected trial's
-    distance is never read, and each trial's distance is a row-wise
-    function of its own path, so the estimates are unchanged.
+    Returns three integer arrays, one entry per radius in deltas: accepted
+    (trials with deviation < delta), and among those below (distance <
+    epsilon) and above (distance > epsilon); a trial at exactly epsilon is
+    in neither. The deviation is capped at the widest radius, so it is exact
+    for every trial that some level can accept. The area and the distance
+    are formed only for trials inside the widest tube. Memory is that of a
+    chunk, whatever n_trials.
     """
-    dev = np.empty(n_trials)
-    dist = np.full(n_trials, np.nan)
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        nb = paths.shape[0]
-        d = tube_deviation(phi, paths, grid, cap=delta_max)
-        dev[start:start + nb] = d
-        inside = np.flatnonzero(d < delta_max)
+    radii = np.asarray(deltas, dtype=float)
+    widest = float(radii.max())
+    accepted = np.zeros(radii.size, dtype=np.int64)
+    below = np.zeros_like(accepted)
+    above = np.zeros_like(accepted)
+    for _, paths in _trial_chunks(grid, rng, n_trials):
+        dev = tube_deviation(phi, paths, grid, cap=widest)
+        inside = np.flatnonzero(dev < widest)
         sub = paths[inside]
-        dist[start + inside] = distance_to_curve(phi, sub, levy_area(sub), grid)
-    return dev, dist
+        dist = distance_to_curve(phi, sub, levy_area(sub), grid)[:, None]
+        acc = dev[inside, None] < radii
+        accepted += np.count_nonzero(acc, axis=0)
+        below += np.count_nonzero(acc & (dist < epsilon), axis=0)
+        above += np.count_nonzero(acc & (dist > epsilon), axis=0)
+    return accepted, below, above
 
 
 def tube_decay_experiment(
@@ -216,41 +219,34 @@ def tube_decay_experiment(
     n_trials: int,
     rng: RngSpec,
     fine_step: float = 2.0 ** -10,
-    min_accepted: Optional[int] = None,
-    budget: Optional[int] = None,
+    min_accepted: int = 0,
+    budget: int = 0,
 ) -> ResultTable:
     """Matched-seed rejection estimates of the tube exceedance over a ladder.
 
     All levels reuse one pass of trials, so acceptance sets are nested and the
-    acceptance rate is exactly monotone in delta. If min_accepted is given,
-    the raw trial count is raised (x10) until every level holds that many
-    accepted samples or the budget is exhausted. Each raise scans only the
-    new trials and appends them, which trial keying makes the same as a
-    single scan of all n. A level that no trial reaches is a NaN row and
-    marks the table inconclusive, on an all-empty ladder too.
+    acceptance rate is exactly monotone in delta. While some level holds
+    fewer than min_accepted accepted samples and fewer than budget trials
+    have run, the raw trial count is raised (x10, at most to budget). Each
+    raise scans only the new trials and adds their counts, which trial
+    keying makes the same as a single scan of all n. A level that no trial
+    reaches is a NaN row and marks the table inconclusive, on an all-empty
+    ladder too.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    widest = max(float(d) for d in deltas)
     n = n_trials
-    dev, dist = _tube_scan(phi, n, rng, grid, widest)
-    while True:
-        counts = [int(np.sum(dev < d)) for d in deltas]
-        if min_accepted is None or min(counts) >= min_accepted:
-            break
-        if budget is None or n >= budget:
-            break
+    accepted, _, above = _tube_scan(phi, n, rng, grid, deltas, epsilon)
+    while accepted.min() < min_accepted and n < budget:
         n_prev, n = n, min(n * 10, budget)
-        more_dev, more_dist = _tube_scan(phi, n - n_prev, rng.child(n_prev), grid, widest)
-        dev = np.concatenate([dev, more_dev])
-        dist = np.concatenate([dist, more_dist])
+        more_accepted, _, more_above = _tube_scan(
+            phi, n - n_prev, rng.child(n_prev), grid, deltas, epsilon)
+        accepted += more_accepted
+        above += more_above
     rows = []
-    for d in deltas:
-        acc = dev < d
-        k = int(np.sum(acc))
+    for d, k, exceed in zip(deltas, accepted.tolist(), above.tolist()):
         if k == 0:
             rows.append((float(d), float(epsilon), float("nan"), float("nan"), 0, n, rng.seed))
             continue
-        exceed = int(np.sum(acc & (dist > epsilon)))
         rows.append((float(d), float(epsilon), exceed / k, binomial_stderr(exceed, k), k, n, rng.seed))
     return ResultTable(
         ["delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed"],
@@ -431,9 +427,8 @@ def time_change_diagnostics(samples, times) -> ResultTable:
 def dds_experiment(n_trials: int, fine_step: float, times, rng: RngSpec) -> ResultTable:
     """time_change_diagnostics over freshly simulated trial-keyed samples."""
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-
-    batches = (DiffusionSample(grid, paths, levy_area(paths), rng.child(start))
-               for start, paths in _trial_chunks(grid, rng, n_trials))
+    batches = (DiffusionSample(grid, paths, levy_area(paths))
+               for _, paths in _trial_chunks(grid, rng, n_trials))
     table = time_change_diagnostics(batches, times)
     table.meta.update({"seed": rng.seed, "fine_step": fine_step, "n_trials": n_trials})
     return table
@@ -449,16 +444,15 @@ def support_positivity(
     """Estimate P(d(g, phi) < epsilon) with an exact 99% lower bound.
 
     One row: epsilon, p_hat, stderr, lower_99, hits, total, seed. The scan
-    is _tube_scan with the widest radius epsilon (1 + 1e-9), so the area and
-    the distance are formed only for trials whose planar deviation is below
-    it. The distance is at least the planar gap at every node,
-    (|x|^4 + z^2)^(1/4) >= |x|, so no other trial can hit; the margin covers
-    the few ulps by which rounding in the quartic and the 1/4 power can put
-    the computed distance below the computed gap.
+    is _tube_scan with the one radius epsilon (1 + 1e-9), and the hits are
+    its below count. The distance is at least the planar gap at every node,
+    (|x|^4 + z^2)^(1/4) >= |x|, so no trial outside that tube can hit; the
+    margin covers the few ulps by which rounding in the quartic and the 1/4
+    power can put the computed distance below the computed gap.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    _, dist = _tube_scan(phi, n_trials, rng, grid, epsilon * (1.0 + 1e-9))
-    hits = int(np.sum(dist < epsilon))
+    _, below, _ = _tube_scan(phi, n_trials, rng, grid, [epsilon * (1.0 + 1e-9)], epsilon)
+    hits = int(below[0])
     return ResultTable(
         ["epsilon", "p_hat", "stderr", "lower_99", "hits", "total", "seed"],
         [(float(epsilon), hits / n_trials, binomial_stderr(hits, n_trials),

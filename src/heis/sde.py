@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .group import group_distance_array, omega
-from .paths import _GL_NODES, _GL_WEIGHTS, AnalyticBundle, HorizontalCurve, TimeGrid, horizontal_lift
+from .paths import AnalyticBundle, HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
 
@@ -62,19 +62,17 @@ def levy_area(planar: np.ndarray) -> np.ndarray:
 class DiffusionSample:
     """One realization of g = (B, A) on a uniform grid.
 
-    planar and area may carry a leading batch axis of trials; rng is then the
-    stream of the first of them.
+    planar and area may carry a leading batch axis of trials.
     """
 
     grid: TimeGrid
     planar: np.ndarray
     area: np.ndarray
-    rng: RngSpec
 
 
 def hypoelliptic_bm(grid: TimeGrid, rng: RngSpec) -> DiffusionSample:
     planar = sample_bm(grid, rng)
-    return DiffusionSample(grid, planar, levy_area(planar), rng)
+    return DiffusionSample(grid, planar, levy_area(planar))
 
 
 @dataclass(frozen=True)
@@ -98,15 +96,6 @@ SMOOTHSTEP = Interpolant(
 )
 
 
-def _as_pair(interpolant):
-    if isinstance(interpolant, Interpolant):
-        return interpolant, interpolant
-    ip1, ip2 = interpolant
-    if not isinstance(ip1, Interpolant) or not isinstance(ip2, Interpolant):
-        raise TypeError("interpolant must be an Interpolant or a pair of them")
-    return ip1, ip2
-
-
 def _coarse_factor(grid: TimeGrid, delta: float) -> int:
     h = grid.step
     m = round(delta / h)
@@ -117,57 +106,33 @@ def _coarse_factor(grid: TimeGrid, delta: float) -> int:
     return m
 
 
-def _cross_profile(ip1: Interpolant, ip2: Interpolant, m: int) -> np.ndarray:
-    """G(r/m) = int_0^{r/m} (f1 f2' - f2 f1'), r = 0..m, by Gauss-Legendre.
-
-    Identically zero when both coordinates share one connector.
-    """
-    if ip1 is ip2:
-        return np.zeros(m + 1)
-    edges = np.arange(m + 1) / m
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 / m
-    uu = mid[:, None] + half * _GL_NODES[None, :]
-    integrand = ip1.f(uu) * ip2.df(uu) - ip2.f(uu) * ip1.df(uu)
-    inc = half * np.sum(integrand * _GL_WEIGHTS[None, :], axis=1)
-    out = np.zeros(m + 1)
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
-def _wz_fine(planar: np.ndarray, m: int, ip1: Interpolant, ip2: Interpolant):
+def _wz_fine(planar: np.ndarray, m: int, interpolant: Interpolant):
     """Fine-grid node values (planar, area) of the smoothed path.
 
-    For the linear connector the area at coarse nodes is bitwise the coarse
-    left-point Ito sum, and within pieces it interpolates linearly.
+    Both coordinates share the connector, so each piece is a chord and the
+    area at coarse nodes is the coarse left-point Ito sum. The linear branch
+    interpolates the area as u * inc, the other one as alpha f - beta f; the
+    two round differently, so LINEAR keeps its own branch.
     """
     n = planar.shape[0] - 1
     coarse = planar[::m]
     d = np.diff(coarse, axis=0)
     u = np.arange(m) / m
-    if ip1 is LINEAR and ip2 is LINEAR:
+    if interpolant is LINEAR:
         inc = area_increments(coarse)
         area_c = np.zeros(coarse.shape[0])
         np.cumsum(inc, out=area_c[1:])
         pieces = coarse[:-1, None, :] + u[None, :, None] * d[:, None, :]
         area_pieces = area_c[:-1, None] + u[None, :] * inc[:, None]
     else:
-        f1u, f2u = ip1.f(u), ip2.f(u)
-        cross = _cross_profile(ip1, ip2, m)
+        fu = interpolant.f(u)
         alpha = coarse[:-1, 0] * d[:, 1]
         beta = coarse[:-1, 1] * d[:, 0]
-        gamma = d[:, 0] * d[:, 1]
-        inc = 0.5 * (alpha - beta + gamma * cross[-1])
+        inc = 0.5 * (alpha - beta)
         area_c = np.zeros(coarse.shape[0])
         np.cumsum(inc, out=area_c[1:])
-        pieces = np.empty((d.shape[0], m, 2))
-        pieces[:, :, 0] = coarse[:-1, 0, None] + f1u[None, :] * d[:, 0, None]
-        pieces[:, :, 1] = coarse[:-1, 1, None] + f2u[None, :] * d[:, 1, None]
-        area_pieces = area_c[:-1, None] + 0.5 * (
-            alpha[:, None] * f2u[None, :]
-            - beta[:, None] * f1u[None, :]
-            + gamma[:, None] * cross[None, :-1]
-        )
+        pieces = coarse[:-1, None, :] + fu[None, :, None] * d[:, None, :]
+        area_pieces = area_c[:-1, None] + 0.5 * (alpha[:, None] * fu - beta[:, None] * fu)
     fine_planar = np.concatenate([pieces.reshape(n, 2), coarse[-1:]], axis=0)
     fine_area = np.concatenate([area_pieces.reshape(n), area_c[-1:]])
     return fine_planar, fine_area
@@ -178,33 +143,32 @@ class WongZakaiPath:
     """Horizontal smoothed approximation of a diffusion sample."""
 
     coarse_step: float
-    interpolants: tuple
+    interpolant: Interpolant
     grid: TimeGrid
     planar: np.ndarray
     area: np.ndarray
     horizontal: HorizontalCurve
 
 
-def wong_zakai(sample: DiffusionSample, delta: float, interpolant=LINEAR) -> WongZakaiPath:
+def wong_zakai(sample: DiffusionSample, delta: float, interpolant: Interpolant = LINEAR) -> WongZakaiPath:
     """Smoothed horizontal path: coarse-step interpolation of B plus the lift.
 
     The returned object carries the fine-grid node values and a
     HorizontalCurve realization whose horizontality defect is at roundoff
     level.
     """
-    ip1, ip2 = _as_pair(interpolant)
     m = _coarse_factor(sample.grid, delta)
-    fine_planar, fine_area = _wz_fine(sample.planar, m, ip1, ip2)
-    if ip1 is LINEAR and ip2 is LINEAR:
+    fine_planar, fine_area = _wz_fine(sample.planar, m, interpolant)
+    if interpolant is LINEAR:
         horizontal = horizontal_lift(fine_planar, sample.grid)
     else:
         horizontal = _wz_horizontal_curve(
-            sample.grid, sample.planar[::m], delta, ip1, ip2, fine_planar, fine_area
+            sample.grid, sample.planar[::m], delta, interpolant, fine_planar, fine_area
         )
-    return WongZakaiPath(delta, (ip1, ip2), sample.grid, fine_planar, fine_area, horizontal)
+    return WongZakaiPath(delta, interpolant, sample.grid, fine_planar, fine_area, horizontal)
 
 
-def _wz_horizontal_curve(grid, coarse, delta, ip1, ip2, fine_planar, fine_area):
+def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_area):
     d = np.diff(coarse, axis=0)
     n_pieces = d.shape[0]
     times = grid.times
@@ -216,16 +180,11 @@ def _wz_horizontal_curve(grid, coarse, delta, ip1, ip2, fine_planar, fine_area):
 
     def x_fn(t):
         k, u = _piece(t)
-        return np.stack(
-            [coarse[k, 0] + ip1.f(u) * d[k, 0], coarse[k, 1] + ip2.f(u) * d[k, 1]],
-            axis=-1,
-        )
+        return coarse[k] + np.expand_dims(interpolant.f(u), -1) * d[k]
 
     def dx_fn(t):
         k, u = _piece(t)
-        return np.stack(
-            [ip1.df(u) * d[k, 0] / delta, ip2.df(u) * d[k, 1] / delta], axis=-1
-        )
+        return np.expand_dims(interpolant.df(u), -1) * d[k] / delta
 
     def z_fn(t):
         return np.interp(t, times, fine_area)
@@ -342,14 +301,13 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 256)
 
 
 def ws_convergence_experiment(
-    deltas, fine_step: float, n_trials: int, rng: RngSpec, interpolant=LINEAR
+    deltas, fine_step: float, n_trials: int, rng: RngSpec, interpolant: Interpolant = LINEAR
 ) -> ResultTable:
     """Mean squared uniform distance between g and its smoothed approximation.
 
     One fine path per trial is shared across all coarse steps (common random
     numbers), which is what makes the per-level drops cleanly resolvable.
     """
-    ip1, ip2 = _as_pair(interpolant)
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     ms = [_coarse_factor(grid, float(dl)) for dl in deltas]
     dsq = np.empty((n_trials, len(ms)))
@@ -357,7 +315,7 @@ def ws_convergence_experiment(
         for i, planar in enumerate(paths, start):
             area = levy_area(planar)
             for j, m in enumerate(ms):
-                wp, wa = _wz_fine(planar, m, ip1, ip2)
+                wp, wa = _wz_fine(planar, m, interpolant)
                 dist = group_distance_array(wp, wa, planar, area)
                 dsq[i, j] = np.max(dist) ** 2
     rows = []
@@ -368,7 +326,7 @@ def ws_convergence_experiment(
         ["delta", "estimate", "stderr", "n_trials", "fine_step", "seed"],
         rows,
         {"experiment": "ws-converge", "seed": rng.seed, "fine_step": fine_step,
-         "interpolants": (ip1.name, ip2.name)},
+         "interpolant": interpolant.name},
     )
 
 
@@ -392,7 +350,7 @@ def energy_divergence_experiment(
     smoothed = np.empty((n_trials, len(steps)))
     for start, paths in _trial_chunks(grid, rng, n_trials):
         for i, planar in enumerate(paths, start):
-            fine_wz, _ = _wz_fine(planar, m_delta, LINEAR, LINEAR)
+            fine_wz, _ = _wz_fine(planar, m_delta, LINEAR)
             for j, (h, m) in enumerate(zip(steps, factors)):
                 raw[i, j] = np.sum(np.diff(planar[::m], axis=0) ** 2) / h
                 smoothed[i, j] = np.sum(np.diff(fine_wz[::m], axis=0) ** 2) / h

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heis import girsanov
 from heis.cli import (
     EXPERIMENTS,
     ReferenceParseError,
@@ -324,6 +325,28 @@ class TestBadInput:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error: ")
+
+    def test_out_of_memory_is_a_one_line_error(self, runner, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(girsanov, "support_positivity", exhausted)
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["support", "--trials", "10", "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == "Error: out of memory, try fewer trials\n"
+
+    def test_trials_beyond_memory_end_cleanly(self, runner):
+        """levy-law keeps one float per trial: 10^14 trials ask for 800 TB,
+        which fails at the first allocation, before any path is drawn."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["levy-law", "--trials", "100000000000000",
+                                       "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: out of memory, try fewer trials: ")
+        assert res.output.count("\n") == 1
 
     _TOKENS = st.sampled_from(["", " ", "0", "-1", "0.5", "2^-3", "2**-99999", "1e400",
                                "nan", "inf", "line", "poly2", "zero", "x"])

@@ -1,6 +1,7 @@
 """Martingale weights, tube conditioning, time-change diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,13 +332,36 @@ class TestTimeChange:
         grid, rng, times = TimeGrid.uniform(128), RngSpec(52), [0.25, 0.5, 1.0]
         paths = _paths(300, rng, grid)
         areas = levy_area(paths)
-        per_trial = [DiffusionSample(grid, p, a, rng.child(i))
-                     for i, (p, a) in enumerate(zip(paths, areas))]
-        batched = [DiffusionSample(grid, paths[:100], areas[:100], rng),
-                   DiffusionSample(grid, paths[100:], areas[100:], rng.child(100))]
+        per_trial = [DiffusionSample(grid, p, a) for p, a in zip(paths, areas)]
+        batched = [DiffusionSample(grid, paths[:100], areas[:100]),
+                   DiffusionSample(grid, paths[100:], areas[100:])]
         table = time_change_diagnostics(per_trial, times)
         assert time_change_diagnostics(batched, times).rows == table.rows
         assert dds_experiment(300, grid.step, times, rng).rows == table.rows
+
+
+def _peak_traced_bytes(run, n):
+    tracemalloc.start()
+    try:
+        run(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: support_positivity(ReferenceCurve.line(1.0, 0.0), 1.0, n, RngSpec(80), 2.0 ** -6),
+    lambda n: tube_decay_experiment(ReferenceCurve.line(1.0, 0.0), 0.9, [0.9, 0.8, 0.7, 0.6],
+                                    n, RngSpec(81), 2.0 ** -6),
+], ids=["support", "tube"])
+def test_scan_memory_does_not_grow_with_trials(run):
+    """Tube and support reduce each chunk to counts, so 64 times the trials
+    leave the peak traced allocation within one chunk of paths; one float
+    per trial would add 512 kB here, two would add 1 MB."""
+    chunk = 256 * 65 * 16  # rows x nodes x (2 float64) of a 2^-6 chunk
+    run(256)  # first-call allocations (imports, caches) stay out of the peaks
+    small, large = _peak_traced_bytes(run, 1024), _peak_traced_bytes(run, 65536)
+    assert abs(large - small) < chunk
 
 
 def _support_row(*args):

@@ -3,8 +3,9 @@
 Every value the package reports is a pure function of its seed, so a change
 that alters a single digit of these tables (a different stream, a reordered
 reduction, a filter that drops a trial it should keep) shows here. The
-hashes are the ones listed in CHANGES.md; the benchmark-sized tube and
-levy-law configs listed there are left to a manual check.
+hashes are the ones listed in CHANGES.md. The benchmark-sized tube config
+escalates 5000 -> 50000 trials, so it pins the counts that escalation adds;
+the levy-law config pins the 2^-12 stream and its NaN-delta variance row.
 """
 
 import hashlib
@@ -56,6 +57,17 @@ GOLDEN = {
         ["ws-converge", "--trials", "100", "--fine-step", "2^-10", "--deltas", "2^-2,2^-4",
          "--interpolant", "smoothstep", "--seed", "6"],
         "f02d42437a155e9732545bde32ada51dd21223461b956329796af270298c1b17",
+    ),
+    "tube-escalating": (
+        ["tube", "--phi", "line 1 0", "--fine-step", "2^-8", "--epsilon", "0.9",
+         "--deltas", "0.9,0.8,0.7,0.6", "--min-accepted", "16", "--budget", "50000",
+         "--trials", "5000", "--seed", "1003"],
+        "c504f9a72bf9b1dd7c27b365f261de58a86554492f3d4f456e1486c5a2b5e46f",
+    ),
+    "levy-law": (
+        ["levy-law", "--fine-step", "2^-12", "--lambdas", "0.5,1,2",
+         "--trials", "4000", "--seed", "1001"],
+        "69bf593f75dcd26b456877d2e5aeb2a38ef470d4b013e765682a98d1cd079ec0",
     ),
 }
 
