@@ -139,8 +139,18 @@ def _json_safe(obj):
     return obj
 
 
-def _assertion(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def _assertion(name: str, passed: bool, detail: str, evaluated: bool = True) -> dict:
+    """One verdict line. A check with fewer inputs than it needs is not
+    evaluated: it keeps its `passed` value, which decides the exit code as
+    before, but prints as N/A."""
+    return {"name": name, "passed": bool(passed), "detail": detail,
+            "evaluated": bool(evaluated)}
+
+
+def _status(assertion: dict) -> str:
+    if not assertion["evaluated"]:
+        return "N/A"
+    return "PASS" if assertion["passed"] else "FAIL"
 
 
 def _file_value(option: click.Parameter, value):
@@ -221,8 +231,7 @@ def _finish(out, experiment, cfg, assertions, inconclusive, write_csv, meta=None
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for a in assertions:
-        status = "PASS" if a["passed"] else "FAIL"
-        click.echo(f"[{status}] {a['name']}: {a['detail']}")
+        click.echo(f"[{_status(a)}] {a['name']}: {a['detail']}")
     # an underpowered run is not a refutation: inconclusive wins over FAIL
     if inconclusive:
         click.echo(f"{experiment}: INCONCLUSIVE ({csv_path})")
@@ -351,7 +360,8 @@ def _tube_verdicts(table, parameters):
                    "accepted " + ", ".join(str(int(a)) for a in acc)
                    + f" (need >= {parameters['min_accepted']})"),
         _assertion("non-increasing-2se", mono,
-                   "p_hat " + (", ".join(f"{x:.4f}" for x in pv) or "none usable")),
+                   "p_hat " + (", ".join(f"{x:.4f}" for x in pv) or "none usable"),
+                   evaluated=len(pv) >= 2),
         _assertion("last-below-first-3se", bool(drop),
                    f"first {pv[0]:.4f}, last {pv[-1]:.4f}" if len(pv) >= 2
                    else "fewer than two usable levels"),
@@ -379,7 +389,8 @@ def _girsanov_ratio_verdicts(table, parameters):
                    f"E[weight] = {mw:.5f} +- {mw_se:.5f}"),
         _assertion("trend-toward-target", trend,
                    f"|estimate - {target:.5f}|: "
-                   + (", ".join(f"{g:.4f}" for g in gaps) or "none usable")),
+                   + (", ".join(f"{g:.4f}" for g in gaps) or "none usable"),
+                   evaluated=len(ev) >= 2),
         _assertion("final-near-target",
                    bool(valid.any()) and gaps[-1] <= 3.0 * sev[-1] + 0.02,
                    f"last estimate {ev[-1]:.5f} vs target {target:.5f}"

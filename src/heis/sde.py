@@ -40,21 +40,63 @@ def sample_bm(grid: TimeGrid, rng: RngSpec) -> np.ndarray:
     return out[0]
 
 
+# Elements of one block of _area_into: its dx scratch is 512 KB (one row for
+# longer paths), so a chunk's area takes its output plus this, not
+# whole-chunk temporaries.
+_AREA_BLOCK = 1 << 16
+
+
+def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
+    """Write omega(B_k, dB_k)/2 of planar, shape (m, n+1, 2), into out, (m, n).
+
+    Works through blocks of whole rows, as many as fit in _AREA_BLOCK
+    elements and at least one: dy goes into out, dx into one reused scratch,
+    and x dy - dx y and the halving happen in place. These are the
+    operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so every
+    value is bitwise the same.
+    """
+    m, n = out.shape
+    if m == 0 or n == 0:
+        return
+    rows = max(1, _AREA_BLOCK // n)
+    scratch = np.empty(rows * n)
+    for r in range(0, m, rows):
+        p = planar[r:r + rows]
+        o = out[r:r + rows]
+        dx = scratch[:o.size].reshape(o.shape)
+        x, y = p[:, :-1, 0], p[:, :-1, 1]
+        np.subtract(p[:, 1:, 1], y, out=o)
+        np.subtract(p[:, 1:, 0], x, out=dx)
+        np.multiply(x, o, out=o)
+        np.multiply(dx, y, out=dx)
+        np.subtract(o, dx, out=o)
+        np.multiply(o, 0.5, out=o)
+
+
 def area_increments(planar: np.ndarray) -> np.ndarray:
     """Left-point area increments omega(B_k, dB_k)/2 along the node axis."""
-    d = np.diff(planar, axis=-2)
-    return 0.5 * omega(planar[..., :-1, :], d)
+    planar = np.asarray(planar)
+    *lead, n1, _ = planar.shape
+    m = math.prod(lead)
+    out = np.empty((*lead, n1 - 1))
+    _area_into(planar.reshape(m, n1, 2), out.reshape(m, n1 - 1))
+    return out
 
 
 def levy_area(planar: np.ndarray) -> np.ndarray:
     """Left-point Ito sum for the Levy area at every node.
 
-    Grid-free: depends only on the node values. Supports a leading batch
-    axis.
+    Grid-free: depends only on the node values. Supports leading batch
+    axes. The increments are summed in place after the leading 0.
     """
-    inc = area_increments(planar)
-    out = np.zeros(planar.shape[:-2] + (planar.shape[-2],))
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    planar = np.asarray(planar)
+    *lead, n1, _ = planar.shape
+    m = math.prod(lead)
+    out = np.empty((*lead, n1))
+    flat = out.reshape(m, n1)
+    flat[:, 0] = 0.0
+    _area_into(planar.reshape(m, n1, 2), flat[:, 1:])
+    np.cumsum(flat[:, 1:], axis=-1, out=flat[:, 1:])
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import conftest
-from heis.cli import EXPERIMENTS
+from heis.cli import EXPERIMENTS, _status
 from heis.cli import main as cli_main
 from heis.density import HelixSpec, helix_convergence, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
 from heis.girsanov import ReferenceCurve, girsanov_shift_sampler, tube_deviation
@@ -51,16 +51,17 @@ def _verdict(num: int, ok: bool, detail: str, elapsed: float, budget: float):
 def _cli_verdict(name: str, trials: int, fine_step: str, **parameters):
     """Run an experiment as its CLI command does and judge it by the CLI's
     own verdicts: passed only when every assertion holds and the run is
-    conclusive. Returns (passed, one detail per assertion)."""
+    conclusive, and only when every assertion saw the inputs it needs.
+    Returns (passed, one detail per assertion)."""
     spec = EXPERIMENTS[name]
     table = spec.run({"seed": SEED, "trials": trials, "fine_step": fine_step,
                       "parameters": parameters})
     assertions, inconclusive = spec.verdicts(table, parameters)
-    detail = "; ".join(f"{a['name']} {'PASS' if a['passed'] else 'FAIL'}: {a['detail']}"
-                       for a in assertions)
+    detail = "; ".join(f"{a['name']} {_status(a)}: {a['detail']}" for a in assertions)
     if inconclusive:
         detail += "; INCONCLUSIVE"
-    return not inconclusive and all(a["passed"] for a in assertions), detail
+    return (not inconclusive
+            and all(a["passed"] and a["evaluated"] for a in assertions)), detail
 
 
 def test_criterion_01_group_algebra():

@@ -274,6 +274,28 @@ class TestExitCodes:
                 "0.050000000000000003,0.90000000000000002,nan,nan,0,200,1\n"
                 "0.02,0.90000000000000002,nan,nan,0,200,1\n")
 
+    @pytest.mark.parametrize("argv, check", [
+        (["tube", "--phi", "line 1 0", "--epsilon", "0.9", "--deltas", "0.05,0.02",
+          "--trials", "100", "--budget", "200", "--min-accepted", "10"],
+         "non-increasing-2se"),
+        (["girsanov-ratio", "--phi", "line 1 0", "--deltas", "0.05,0.02",
+          "--trials", "100"],
+         "trend-toward-target"),
+    ], ids=["tube", "girsanov-ratio"])
+    def test_check_without_two_usable_levels_is_not_evaluated(self, runner, argv, check):
+        """An all-empty ladder gives a trend check no input: it prints N/A
+        and says so in the summary, and `passed` and the exit code stay."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [*argv, "--fine-step", "2^-7", "--out", "r"])
+            assert res.exit_code == 2, res.output
+            assert f"[N/A] {check}: " in res.output
+            summary = json.loads(Path(f"r/{argv[0]}.summary.json").read_text())
+        (entry,) = [a for a in summary["assertions"] if a["name"] == check]
+        assert entry["evaluated"] is False and entry["passed"] is True
+        others = [a for a in summary["assertions"] if a["name"] != check]
+        assert others and all(a["evaluated"] for a in others)
+        assert summary["pass"] is False and summary["inconclusive"] is True
+
     def test_tube_underpowered_is_inconclusive_not_fail(self, runner):
         with runner.isolated_filesystem():
             res = runner.invoke(main, ["tube", "--phi", "line 1 0",

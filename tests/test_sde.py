@@ -2,15 +2,18 @@
 
 import math
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heis import sde
-from heis.group import group_distance_array
+from heis.group import group_distance_array, omega
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
 from heis.sde import (
@@ -81,6 +84,81 @@ def test_levy_area_law_symmetric():
                   for i in range(1500)])
     stat = scipy.stats.ks_2samp(a, -b)
     assert stat.pvalue > 0.01
+
+
+def _old_increments(p):
+    """The area increments as written before the blocked kernel."""
+    return 0.5 * omega(p[..., :-1, :], np.diff(p, axis=-2))
+
+
+def _old_levy_area(p):
+    out = np.zeros(p.shape[:-2] + (p.shape[-2],))
+    np.cumsum(_old_increments(p), axis=-1, out=out[..., 1:])
+    return out
+
+
+def _assert_same_bytes(new, old):
+    """Equal shapes and bytes, so -0.0 and 0.0 count as different."""
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+
+
+@st.composite
+def _planar_views(draw):
+    """(..., n+1, 2) arrays with 0-2 batch axes, some of them strided views."""
+    lead = draw(st.lists(st.integers(0, 4), max_size=2))
+    n = draw(st.integers(0, 40))
+    tstep = draw(st.integers(1, 3))
+    bstep = draw(st.integers(1, 3)) if lead else 1
+    shape = [*lead, n * tstep + 1, 2]
+    if lead:
+        shape[0] *= bstep
+    base = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    view = base[..., ::tstep, :]
+    return view[::bstep] if lead else view
+
+
+@settings(max_examples=200, deadline=None)
+@given(planar=_planar_views(), block=st.sampled_from([1, 2, 5, 64, sde._AREA_BLOCK]))
+def test_area_kernel_is_bitwise_the_old_expressions(planar, block):
+    """Any block size, batch shape, row count or stride gives the bytes of
+    0.5 * omega(B[:-1], diff(B)) and its running sum."""
+    with mock.patch.object(sde, "_AREA_BLOCK", block):
+        inc, area = area_increments(planar), levy_area(planar)
+    _assert_same_bytes(inc, _old_increments(planar))
+    _assert_same_bytes(area, _old_levy_area(planar))
+
+
+@pytest.mark.parametrize("view", [
+    lambda p: p,
+    lambda p: p[::2],
+    lambda p: p[:, ::3],
+    lambda p: p[3],
+    lambda p: p[:0],
+    lambda p: p[:, :1],
+], ids=["chunk", "every-2nd-row", "every-3rd-node", "one-path", "no-rows", "n=0"])
+def test_area_kernel_matches_on_a_chunk_of_many_blocks(view):
+    """At the module's block size: 37 rows of 4095 steps take three blocks of
+    16 rows, the last one partial."""
+    p = view(sample_bm(TimeGrid.uniform(37 * 4096 - 1), RngSpec(12)).reshape(37, 4096, 2))
+    _assert_same_bytes(area_increments(p), _old_increments(p))
+    _assert_same_bytes(levy_area(p), _old_levy_area(p))
+
+
+@pytest.mark.parametrize("fn", [area_increments, levy_area])
+def test_area_kernel_holds_no_chunk_sized_temporaries(fn):
+    """On a 256 x 4097 chunk the area takes its output plus at most 1 MB of
+    traced memory; the whole-chunk temporaries of the old expression took
+    about four times the output."""
+    paths = np.cumsum(np.random.default_rng(14).standard_normal((256, 4097, 2)), axis=1)
+    out_bytes = fn(paths).nbytes
+    tracemalloc.start()
+    try:
+        fn(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + (1 << 20)
 
 
 def _per_trial_paths(grid, rng, n_trials):

@@ -1,0 +1,241 @@
+"""Benchmark a change against its parent in alternating pairs; write BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --bench 11 --rev HEAD --workload levy:5 \\
+        --workload tube:3 --seed 1101 --claim levy:peak_rss_mb
+
+Extracts the parent revision with `git archive REV | tar -x` into a temporary
+directory (the repository's .git is only read) and copies the working tree's
+files that git tracks or would add into a sibling one, so both sides run from
+alike fresh checkouts: perfbench's peak_rss_mb includes the high-water mark
+that a child inherits from run.py, and that has read 137 MB in one directory
+and 153 MB in another for the same support code. It then runs
+`perfbench/run.py --workload W --seed N --seconds S --trace 0`, with S the
+run_seconds of BENCHMARK.json, once on each side per pair, alternating which
+side runs first. Both sides of a pair get
+the same seed; pair k of a workload uses seed --seed + k, and the seeds go
+on across workloads. Each run records its
+end-to-end metrics (the names, units and directions of BENCHMARK.json), its
+operation counts and the host's steal share over the run, read from the
+aggregate cpu line of /proc/stat. The output keeps BENCH_6.json's layout:
+per workload the runs of each side, their median and quartiles, the pairs the
+change won, the median change and the median gap over the parent's
+interquartile range. A run that exits non-zero is recorded with its exit
+code and the tail of its stderr, and its pair is left out of the metrics;
+the file is rewritten after every workload, so a cut session keeps the sets
+it finished.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def host_jiffies():
+    """(steal, total) jiffies of the aggregate cpu line, or None off Linux."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = [int(v) for v in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return fields[7], sum(fields)
+
+
+def cpu_name():
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def versions():
+    """Of the interpreter that runs both sides (heis needs numpy and scipy)."""
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def extract(rev, dest):
+    """Write the tree of rev into dest without touching the working tree."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        sys.exit(f"bench_pairs: git archive {rev} failed")
+
+
+def copy_worktree(dest):
+    """Copy the files git tracks or would add, as they are on disk, into dest."""
+    listing = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True).stdout
+    for name in filter(None, listing.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One perfbench run: its JSON result line (None if it crashed), the steal
+    share over it and, for a crash, its exit code and stderr tail."""
+    before = host_jiffies()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    after = host_jiffies()
+    steal = None
+    if before and after and after[1] > before[1]:
+        steal = round((after[0] - before[0]) / (after[1] - before[1]), 4)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None, steal, {"seed": seed, "returncode": proc.returncode,
+                             "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(lines[-1]), steal, None
+
+
+def summarize(values):
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "runs": [round(v, 4) for v in values]}
+
+
+def metric_record(spec, parent, change):
+    sign = 1 if spec["better"] == "higher" else -1
+    p, c = summarize(parent), summarize(change)
+    iqr = p["q3"] - p["q1"]
+    gap = c["median"] - p["median"]
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "parent": p,
+        "change": c,
+        "pairs_won_by_change": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+        "median_change_pct": round(100 * gap / p["median"], 1) if p["median"] else None,
+        "median_gap_over_parent_iqr": round(abs(gap) / iqr, 2) if iqr else None,
+    }
+
+
+def bench_set(sides, workload, seeds, seconds, specs):
+    runs = {"parent": [], "change": []}
+    steal = {"parent": [], "change": []}
+    crashed = {"parent": [], "change": []}
+    first = []
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        first.append(order[0])
+        for side in order:
+            result, share, crash = run_once(sides[side], workload, seed, seconds)
+            runs[side].append(result)
+            steal[side].append(share)
+            if crash:
+                crashed[side].append(crash)
+                print(f"{workload} seed {seed} {side}: exit {crash['returncode']}",
+                      file=sys.stderr)
+                continue
+            print(f"{workload} seed {seed} {side}: correct {result['correct']}, "
+                  + ", ".join(f"{m} {v['value']:.4g}" for m, v in result["metrics"].items()),
+                  file=sys.stderr)
+    # Only pairs whose two runs both finished enter the metrics.
+    whole = [(a, b) for a, b in zip(runs["parent"], runs["change"]) if a and b]
+    metrics = {}
+    for spec in specs:
+        name = spec["name"]
+        if whole and all(name in r["metrics"] for pair in whole for r in pair):
+            metrics[name] = metric_record(spec, [a["metrics"][name]["value"] for a, _ in whole],
+                                          [b["metrics"][name]["value"] for _, b in whole])
+
+    def each(key):
+        return {s: [r[key] if r else None for r in rs] for s, rs in runs.items()}
+
+    return {
+        "workload": workload,
+        "seeds": seeds,
+        "pairs": len(seeds),
+        "pairs_measured": len(whole),
+        "first_side": first,
+        "correct": each("correct"),
+        "failed_ops": each("failed"),
+        "attempted_ops": each("attempted"),
+        "crashed": crashed,
+        "steal_share": steal,
+        "metrics": metrics,
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--bench", type=int, required=True, help="N of the BENCH_<N>.json to write")
+    ap.add_argument("--rev", default="HEAD", help="parent revision (default HEAD)")
+    ap.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS",
+                    help="a workload of BENCHMARK.json and its number of pairs; repeatable")
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                    help="the workload and metric the change claims to improve")
+    ap.add_argument("--out", default=None, help="output path (default BENCH_<N>.json at the root)")
+    args = ap.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = {w["name"] for w in bench["workloads"]}
+    plan = []
+    for item in args.workload:
+        name, _, pairs = item.partition(":")
+        if name not in known or not pairs.isdigit() or int(pairs) < 1:
+            sys.exit(f"bench_pairs: expected NAME:PAIRS with NAME in {sorted(known)}, got {item!r}")
+        plan.append((name, int(pairs)))
+    seconds = bench["run_seconds"]
+    parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.rev],
+                                capture_output=True, text=True, check=True).stdout.strip()
+
+    record = {
+        "bench": args.bench,
+        "what": f"parent commit {parent_sha} against the working tree, each side's "
+                "perfbench/run.py on its own fresh copy in one temporary directory",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
+        "method": "pairs of runs with the same seed, one on each side, alternating which side "
+                  "runs first (first_side names it per pair); medians and quartiles "
+                  "(inclusive method) over the pairs; a pair is won when the change's value is "
+                  "better; steal_share is the steal jiffies over all jiffies of the aggregate "
+                  "cpu line of /proc/stat, read before and after each run",
+        "machine": {"nproc": os.cpu_count(), "cpu": cpu_name(), **versions()},
+    }
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        record["claim"] = {"workload": workload, "metric": metric}
+    record["sets"] = []
+
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.bench}.json"
+    seed = args.seed
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for path in sides.values():
+            path.mkdir()
+        extract(args.rev, sides["parent"])
+        copy_worktree(sides["change"])
+        for name, pairs in plan:
+            seeds = list(range(seed, seed + pairs))
+            seed += pairs
+            record["sets"].append(bench_set(sides, name, seeds, seconds, bench["end_to_end"]))
+            out.write_text(json.dumps(record, indent=1) + "\n")
+    print(out)
+
+
+if __name__ == "__main__":
+    main()
