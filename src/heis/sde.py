@@ -9,16 +9,18 @@ integral of the interpolated path, which is horizontal by construction.
 Conventions fixed here and relied on by the tests:
   - stochastic integrals use left-point sums on the fine grid;
   - trial i of any experiment draws from rng.child(i), so estimates depend
-    neither on the chunk size nor on which thread draws a trial, or when:
-    one helper thread draws the next chunk while the caller reduces the
-    current one, and on grids of 1024 steps or more the caller draws the
-    blocks of a chunk that the helper has not reached when it asks for it;
+    neither on the chunk size nor on which process draws a trial, or when:
+    two forked worker processes draw chunks ahead into shared slots while
+    the caller reduces the current one (the caller draws them itself where
+    os.fork is missing);
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import signal
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -242,26 +244,27 @@ def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_are
     return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-# Byte budget of the path chunks alive at once: one being reduced by the
-# caller and one being drawn, so each gets half. 256 rows fit a half up to
-# 2^12 steps, and a finer grid gets fewer rows instead of a chunk that grows
-# with it.
+# Byte budget of the trial source's shared buffer: two workers each draw up
+# to two chunks ahead of the caller, so it holds four chunk slots and each
+# slot gets a quarter. 128 rows fit a slot on grids up to 2^12 steps, and a
+# finer grid gets fewer rows instead of slots that grow with it.
 _CHUNK_BYTES = 64 << 20
+_SLOTS = 4
+_WORKERS = 2
 
-# Grids of at least this many steps let the caller draw blocks of the chunk
-# it asks for that the helper thread has not claimed yet (see _trial_chunks).
-_ASSIST_STEPS = 1024
+# One-byte tokens. From a worker: a chunk is drawn, or the worker failed and
+# its traceback follows. To a worker: the caller is done with a slot.
+_DRAWN, _FAILED, _FREED = b"+", b"!", b"-"
 
 
 def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float) -> None:
     """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1.
 
     Each path starts at 0 and sums its normals, scaled by s, in order. Runs
-    on the helper thread of _trial_chunks and on the caller, and draws the
-    one path of sample_bm. It draws through its own re-keyed generator and
-    calls only RngSpec.child and child_generators: perfbench/tracing.py
-    times the package's public functions on one span stack, which a call
-    from a second thread would corrupt.
+    in the worker processes of _trial_chunks (on the caller where os.fork is
+    missing), and draws the one path of sample_bm. It draws through its own
+    re-keyed generator and calls only RngSpec.child and child_generators, so
+    a worker touches nothing but numpy's generator and its chunk slots.
     """
     rows[:, 0] = 0.0
     steps = rows[:, 1:]
@@ -274,72 +277,116 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float) -> None:
     np.cumsum(walk, axis=1, out=walk)
 
 
-class _Chunk:
-    """The paths of trials start .. start + nb - 1, split into blocks of
-    rows that each thread claims under a lock, so every block is drawn once,
-    by whichever thread takes it first."""
+def _work(rng, starts, rows, n_trials, s, slots, w, ends):
+    """Body of worker w, forked by _trial_chunks: draw chunks w, w + 2, ...
 
-    def __init__(self, rng: RngSpec, start: int, nb: int, n: int, s: float, block: int):
-        self.paths = np.empty((nb, n + 1, 2))
-        self._rng = rng
-        self._start = start
-        self._s = s
-        self._block = block
-        self._unclaimed = iter(range(0, nb, block))
-        self._lock = threading.Lock()
+    ends holds the four pipe ends of each worker (see _trial_chunks); this
+    one closes all but its own two. Chunk c goes into slot c % 4 once the
+    caller has handed that slot back by a byte on free (its first two slots
+    start free), and each drawn chunk is a _DRAWN byte on ready. An error
+    sends _FAILED and its traceback. An end of file on free means the caller
+    is gone. Leaves only by os._exit, so nothing of the caller's (atexit
+    hooks, buffered output) runs twice.
+    """
+    code = 0
+    ready, free = ends[4 * w + 1], ends[4 * w + 2]
+    try:
+        for fd in ends:
+            if fd not in (ready, free):
+                os.close(fd)
+        for c in range(w, len(starts), _WORKERS):
+            if c >= _SLOTS and not os.read(free, 1):
+                break
+            start = starts[c]
+            _draw_rows(rng, start, slots[c % _SLOTS, :min(rows, n_trials - start)], s)
+            os.write(ready, _DRAWN)
+    except BaseException:
+        code = 1
+        try:
+            os.write(ready, _FAILED + traceback.format_exc().encode())
+        except OSError:  # the caller is gone
+            pass
+    finally:
+        os._exit(code)
 
-    def draw(self) -> None:
-        """Draw unclaimed blocks until none is left."""
-        while True:
-            with self._lock:
-                lo = next(self._unclaimed, None)
-            if lo is None:
-                return
-            _draw_rows(self._rng, self._start + lo, self.paths[lo:lo + self._block], self._s)
+
+def _worker_error(ready: int, token: bytes, start: int) -> RuntimeError:
+    """The error a worker reported on ready after token, or its silent death."""
+    if token != _FAILED:
+        return RuntimeError(f"the worker drawing trials {start} on exited without a result")
+    text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
+    return RuntimeError(f"a trial worker failed:\n{text}")
 
 
-def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 256):
+def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 128):
     """Trial-keyed Brownian paths in batches of shape (nb, n+1, 2).
 
     Row i holds trial start + i, drawn from rng.child(start + i), scaled by
     sqrt(h) and summed in order along the time axis, so the values do not
     depend on the chunk size. A chunk holds at most `chunk` rows and at most
-    _CHUNK_BYTES // 2 bytes (at least one row). Chunks are yielded in trial
-    order. One helper thread draws the next chunk while the caller reduces
-    the current one. Closing the generator early waits for the draw in
-    flight.
+    _CHUNK_BYTES // 4 bytes (at least one row). Chunks are yielded in trial
+    order, each as a read-only view that stays valid until the next chunk is
+    requested: copy what must outlive that.
 
-    Who draws: on grids of at least _ASSIST_STEPS steps a chunk is split
-    into blocks of about rows // 8, and when the caller asks for a chunk
-    it also draws the blocks the helper has not claimed yet, so it draws
-    only when it has nothing left to reduce. On coarser grids the helper
-    draws each chunk as one block. Every row re-keys its generator with the
-    interpreter lock held, so two drawing threads gain only where a row's
-    normals are long enough to draw beside that: on a 2-vCPU x86 VM they
-    drew keyed rows 1.03 times as fast as one thread at 256 steps, 1.61
-    times at 1024 and 1.70 times at 4096. A row's values do not depend on
-    which thread draws it.
+    Two worker processes, forked per call, draw the chunks: worker c % 2
+    draws chunk c into slot c % 4 of one anonymous shared mmap, so each
+    works up to two chunks ahead while the caller only reduces. One-byte
+    pipe tokens hand each slot between a worker and the caller. Each worker
+    keeps only its own two pipe ends, so a worker whose caller dies sees an
+    end of file or a broken pipe and exits. A worker's error reaches the
+    caller as a RuntimeError carrying the worker's traceback. However the
+    caller leaves (exhausted, closed early, an exception), it SIGKILLs and
+    reaps every worker. Where os.fork is missing, the caller draws each
+    chunk itself into one reused buffer.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = max(1, min(chunk, _CHUNK_BYTES // 2 // ((n + 1) * 16)))
-    assist = n >= _ASSIST_STEPS
-    block = max(1, rows // 8) if assist else rows
-    with ThreadPoolExecutor(1) as helper:
-
-        def draw(start):
-            job = _Chunk(rng, start, min(rows, n_trials - start), n, s, block)
-            return job, helper.submit(job.draw)
-
-        pending = draw(0) if n_trials > 0 else None
-        for start in range(0, n_trials, rows):
-            current, drawn = pending
-            if assist:
-                current.draw()
-            drawn.result()
-            if start + rows < n_trials:
-                pending = draw(start + rows)
-            yield start, current.paths
+    rows = max(1, min(chunk, _CHUNK_BYTES // _SLOTS // ((n + 1) * 16)))
+    starts = range(0, n_trials, rows)
+    if not hasattr(os, "fork"):
+        paths = np.empty((rows, n + 1, 2))
+        shown = paths.view()
+        shown.flags.writeable = False
+        for start in starts:
+            nb = min(rows, n_trials - start)
+            _draw_rows(rng, start, paths[:nb], s)
+            yield start, shown[:nb]
+        return
+    buf = mmap.mmap(-1, _SLOTS * rows * (n + 1) * 16)
+    slots = np.frombuffer(buf).reshape(_SLOTS, rows, n + 1, 2)
+    shown = np.frombuffer(memoryview(buf).toreadonly()).reshape(slots.shape)
+    ends, pids = [], []  # the pipe ends the caller holds, the workers' ids
+    try:
+        workers = min(_WORKERS, len(starts))
+        for _ in range(workers):
+            ends += [*os.pipe(), *os.pipe()]  # ready: read, write; free: read, write
+        for w in range(workers):
+            pid = os.fork()
+            if pid == 0:
+                _work(rng, starts, rows, n_trials, s, slots, w, ends)
+            pids.append(pid)
+        for fd in ends[1::4] + ends[2::4]:
+            os.close(fd)
+        ready, free = ends[0::4], ends[3::4]
+        ends = ready + free
+        for c, start in enumerate(starts):
+            w = c % _WORKERS
+            token = os.read(ready[w], 1)
+            if token != _DRAWN:
+                raise _worker_error(ready[w], token, start)
+            yield start, shown[c % _SLOTS, :min(rows, n_trials - start)]
+            if c + _SLOTS < len(starts):
+                try:
+                    os.write(free[w], _FREED)
+                except BrokenPipeError:  # the worker failed; its error is read next
+                    pass
+    finally:
+        for fd in ends:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def ws_convergence_experiment(
@@ -420,9 +467,14 @@ def levy_area_law_experiment(
     Targets: Var A_1 = 1/4 and E cos(lambda A_1) = 1 / cosh(lambda / 2).
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
+    rows = max(1, _AREA_BLOCK // grid.n_steps)
     a1 = np.empty(n_trials)
     for start, paths in _trial_chunks(grid, rng, n_trials):
-        a1[start:start + paths.shape[0]] = np.sum(area_increments(paths), axis=-1)
+        # Blocks of whole rows hold at most 512 KB of increments; a row's sum
+        # is the one over the whole chunk's increments, bit for bit.
+        for r in range(0, paths.shape[0], rows):
+            block = area_increments(paths[r:r + rows])
+            a1[start + r:start + r + block.shape[0]] = np.sum(block, axis=-1)
     var, var_se = variance_and_stderr(a1)
     # row 0 is Var(A_1) with a NaN marker in the delta slot; the remaining
     # rows put lambda there (the shared experiment schema has no lambda field)

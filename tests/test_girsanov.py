@@ -37,7 +37,8 @@ GRID = TimeGrid.uniform(256)
 
 
 def _paths(n, rng, grid=GRID):
-    return np.concatenate([p for _, p in _trial_chunks(grid, rng, n)])
+    # each chunk is copied: it is valid only until the next one is requested
+    return np.concatenate([p.copy() for _, p in _trial_chunks(grid, rng, n)])
 
 
 class TestReferenceCurve:
@@ -84,6 +85,19 @@ class TestItoDiscretizations:
             parts = ito_by_parts(phi, paths, GRID)
             assert float(np.max(np.abs(left - parts))) <= 1e-12
             assert consistency_gap(phi, paths, GRID) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["line", "poly2"]),
+           a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           k=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+    def test_by_parts_agrees_with_left_sum_within_the_ratio_tolerance(self, kind, a, b, k, seed):
+        """The bound girsanov_ratio_experiment enforces, 10 h (1 + dd_sup),
+        holds on random curves and 2^-k grids."""
+        phi = getattr(ReferenceCurve, kind)(a, b)
+        grid = TimeGrid.uniform(2 ** k)
+        paths = _paths(8, RngSpec(seed), grid)
+        gap = consistency_gap(phi, paths, grid)
+        assert gap <= 10.0 * grid.step * (1.0 + phi.dd_sup)
 
     def test_martingale_on_the_curve_itself(self):
         # B identical to phi(t) = (t, 0): the stochastic term is exactly 1

@@ -1,7 +1,11 @@
 """Brownian sampling, stochastic area, smoothing transforms."""
 
 import math
-import threading
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -173,13 +177,32 @@ def _per_trial_paths(grid, rng, n_trials):
     return out
 
 
+def _drawn(*args, **kwargs):
+    """(start, paths) of every chunk of _trial_chunks, each copied before the
+    next one is requested, since a yielded chunk is valid only until then."""
+    return [(start, paths.copy()) for start, paths in _trial_chunks(*args, **kwargs)]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _shared_bytes(paths):
+    """Size of the buffer a yielded chunk is a view of."""
+    base = paths
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.nbytes
+
+
 @pytest.mark.parametrize("n_steps", [1, 64, 1023, 1024, 4096])
 @pytest.mark.parametrize("rng", [RngSpec(78), RngSpec(-6, 2 ** 64 - 1)],
                          ids=["plain", "wraps-2^64"])
 def test_sample_bm_is_row_zero_of_the_trial_source(n_steps, rng):
     grid = TimeGrid.uniform(n_steps)
     path = sample_bm(grid, rng)
-    (_, paths), = _trial_chunks(grid, rng, 2)
+    (_, paths), = _drawn(grid, rng, 2)
     np.testing.assert_array_equal(path, paths[0])
     np.testing.assert_array_equal(path, _per_trial_paths(grid, rng, 1)[0])
 
@@ -192,12 +215,9 @@ def test_trial_chunks_match_per_trial_generators(chunk, rng):
     count that is not a multiple of the chunk and for streams past 2^64."""
     grid = TimeGrid.uniform(32)
     n_trials = 25
-    starts, parts = [], []
-    for start, paths in _trial_chunks(grid, rng, n_trials, chunk=chunk):
-        starts.append(start)
-        parts.append(paths)
-    assert starts == list(range(0, n_trials, chunk))
-    np.testing.assert_array_equal(np.concatenate(parts),
+    items = _drawn(grid, rng, n_trials, chunk=chunk)
+    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, n_trials))
 
 
@@ -206,7 +226,7 @@ def test_trial_chunks_match_per_trial_generators(chunk, rng):
 def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, n_steps):
     grid = TimeGrid.uniform(n_steps)
     rng = RngSpec(91, 7)
-    items = list(_trial_chunks(grid, rng, n_trials, chunk=chunk))
+    items = _drawn(grid, rng, n_trials, chunk=chunk)
     assert [start for start, _ in items] == list(range(0, n_trials, chunk))
     drawn = np.concatenate([np.empty((0, n_steps + 1, 2))] + [p for _, p in items])
     np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
@@ -214,38 +234,48 @@ def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, n_ste
 
 @pytest.mark.parametrize("chunk", [1, 7, 37, 256])
 def test_caller_assisted_chunks_match_per_trial_generators(chunk):
-    """From 1024 steps on, the caller draws blocks of the chunks it waits
-    for; the rows are still the per-trial reference bit for bit."""
+    """On a 1024-step grid, where the caller once drew blocks of the chunks
+    it waited for, and with enough chunks that every slot is reused, the
+    rows are still the per-trial reference bit for bit."""
     grid = TimeGrid.uniform(1024)
     rng = RngSpec(29, 11)
-    items = list(_trial_chunks(grid, rng, 300, chunk=chunk))
+    items = _drawn(grid, rng, 300, chunk=chunk)
     assert [start for start, _ in items] == list(range(0, 300, chunk))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, 300))
 
 
-def test_coarse_grids_are_drawn_by_the_helper_alone(monkeypatch):
-    """Below 1024 steps the helper draws each chunk as one block."""
-    draw = sde._draw_rows
-    calls = []
-
-    def recording(rng, first, rows, s):
-        calls.append((first, rows.shape[0], threading.current_thread() is threading.main_thread()))
-        draw(rng, first, rows, s)
-
-    monkeypatch.setattr(sde, "_draw_rows", recording)
-    list(_trial_chunks(TimeGrid.uniform(1023), RngSpec(3), 50, chunk=16))
-    assert calls == [(0, 16, False), (16, 16, False), (32, 16, False), (48, 2, False)]
+def test_without_fork_the_caller_draws_the_same_rows(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    grid, rng = TimeGrid.uniform(64), RngSpec(31, 5)
+    items = _drawn(grid, rng, 50, chunk=8)
+    assert [start for start, _ in items] == list(range(0, 50, 8))
+    np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
+                                  _per_trial_paths(grid, rng, 50))
+    assert not next(_trial_chunks(grid, rng, 50))[1].flags.writeable
 
 
-def test_closing_trial_chunks_early_joins_the_helper_thread():
-    for n_steps in (256, 1024):  # helper alone, and caller-assisted
-        before = threading.active_count()
-        chunks = _trial_chunks(TimeGrid.uniform(n_steps), RngSpec(3), 100, chunk=7)
-        next(chunks)
-        assert threading.active_count() == before + 1  # drawing the next chunk
-        chunks.close()
-        assert threading.active_count() == before
+def test_yielded_chunks_are_read_only():
+    for start, paths in _trial_chunks(GRID, RngSpec(3), 30, chunk=7):
+        assert not paths.flags.writeable
+        with pytest.raises(ValueError):
+            paths[0, 0, 0] = 1.0
+    _no_child_left()
+
+
+def test_closing_trial_chunks_early_leaves_no_worker():
+    chunks = _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
+    next(chunks)
+    chunks.close()
+    _no_child_left()
+
+
+def test_a_consumer_error_leaves_no_worker():
+    with pytest.raises(KeyError):
+        for start, paths in _trial_chunks(GRID, RngSpec(3), 1000, chunk=7):
+            if start > 20:
+                raise KeyError(start)
+    _no_child_left()
 
 
 def test_draw_error_reaches_the_caller(monkeypatch):
@@ -263,42 +293,111 @@ def test_draw_error_reaches_the_caller(monkeypatch):
         next(chunks)
 
 
-@pytest.mark.parametrize("failing_thread", ["caller", "helper"])
-def test_block_draw_error_reaches_the_caller(monkeypatch, failing_thread):
-    """On a caller-assisted grid, an error in a block reaches the caller
-    whichever thread drew it. The other thread draws only after a block of
-    the failing one has failed, so the failing thread surely claims one."""
+def test_a_worker_error_leaves_no_worker(monkeypatch):
+    """A late chunk fails while the other worker still has slots to fill."""
     draw = sde._draw_rows
-    failed = threading.Event()
 
-    def failing(rng, first, rows, s):
-        on_caller = threading.current_thread() is threading.main_thread()
-        if on_caller == (failing_thread == "caller"):
-            failed.set()
-            raise RuntimeError(f"{failing_thread} block failed")
-        assert failed.wait(10)
-        draw(rng, first, rows, s)
+    def failing(rng, first, *args):
+        if first == 70:
+            raise RuntimeError(f"draw of trial {first} failed")
+        return draw(rng, first, *args)
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
-    before = threading.active_count()
-    chunks = _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 64, chunk=32)
-    with pytest.raises(RuntimeError, match=f"{failing_thread} block failed"):
-        next(chunks)
-    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="trial 70 failed"):
+        for _ in _trial_chunks(GRID, RngSpec(3), 200, chunk=10):
+            pass
+    _no_child_left()
+
+
+_KILLED_SCAN = """
+import sys, time
+from heis.paths import TimeGrid
+from heis.rng import RngSpec
+from heis.sde import _trial_chunks
+for start, paths in _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 10 ** 6, chunk=16):
+    if start == 0:
+        print("first chunk", flush=True)
+    time.sleep(0.001)
+"""
+
+
+def _live_members(pgid):
+    """Processes of group pgid that have not exited (zombies excluded)."""
+    live = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            live.append(int(entry))
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+def test_a_killed_scan_leaves_no_worker():
+    """SIGKILL gives the caller no finally: its workers must notice the
+    closed pipes themselves."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_SCAN], stdout=subprocess.PIPE,
+                            env=env, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == b"first chunk\n"
+    finally:
+        proc.kill()
+        proc.wait(10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 2.0
+    try:
+        while _live_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _live_members(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # stragglers of a failed check
+        except ProcessLookupError:
+            pass
 
 
 def test_trial_chunks_stay_within_byte_budget():
-    """Two chunks are alive at once, the one the caller reduces and the one
-    being drawn, so each stays within half the budget."""
+    """The four slots of the shared buffer, one being reduced and three
+    drawn ahead, fit the budget together."""
     grid = TimeGrid.uniform(2 ** 18)
     rng = RngSpec(4)
     rows = []
     for start, paths in _trial_chunks(grid, rng, 20):
-        assert 2 * paths.nbytes <= _CHUNK_BYTES
+        assert 4 * paths.nbytes <= _CHUNK_BYTES
+        assert _shared_bytes(paths) <= _CHUNK_BYTES
         if start > 0:  # the first row of a later chunk is still trial `start`
             np.testing.assert_array_equal(paths[0], _per_trial_paths(grid, rng.child(start), 1)[0])
         rows.append(paths.shape[0])
     assert sum(rows) == 20 and len(rows) > 1
+
+
+@pytest.mark.parametrize("n_steps,chunk", [(64, 128), (64, 7), (4096, 128), (2 ** 14, 128)])
+def test_shared_buffer_does_not_grow_with_trials(n_steps, chunk):
+    """tracemalloc does not see the mmap that holds the slots, so this
+    checks its size: it depends on the grid and chunk alone."""
+    grid = TimeGrid.uniform(n_steps)
+    sizes = set()
+    for n_trials in (1, 1024, 65536):
+        chunks = _trial_chunks(grid, RngSpec(5), n_trials, chunk=chunk)
+        sizes.add(_shared_bytes(next(chunks)[1]))
+        chunks.close()
+    rows = min(chunk, _CHUNK_BYTES // 4 // ((n_steps + 1) * 16))
+    assert sizes == {4 * rows * (n_steps + 1) * 16}
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1023, 1024, 4096, 5000])
+def test_blockwise_row_sums_equal_the_whole_chunk_sum(n):
+    """levy-law sums each block of _AREA_BLOCK // n whole rows on its own;
+    every row's sum is bitwise the one over the whole chunk."""
+    rows = max(1, sde._AREA_BLOCK // n)
+    inc = np.random.default_rng(n).standard_normal((2 * rows + 3, n))
+    blocks = [np.sum(inc[r:r + rows], axis=-1) for r in range(0, inc.shape[0], rows)]
+    _assert_same_bytes(np.concatenate(blocks), np.sum(inc, axis=-1))
 
 
 def test_interpolant_validation():
