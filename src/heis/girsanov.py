@@ -7,7 +7,9 @@ quantities:
   - rejection sampling (exact conditioning), the primary estimator. The tube
     ladder and support positivity share one scan, _tube_scan, which reduces
     each chunk of trials to integer counts per radius, so their memory does
-    not grow with the trial count. Every conditioned estimate returns a
+    not grow with the trial count. Like every estimate here, it hands the
+    trial workers of sde._trial_chunks a reduce that turns each path into a
+    few values, so the paths never leave the workers. Every conditioned estimate returns a
     ResultTable: a level that no trial reaches is a NaN row that marks the
     table inconclusive, even when every level is empty;
   - the mean-shift sampler: simulate centered paths, translate by phi, weight
@@ -27,11 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import group_distance_array, sq_norm
+from .group import _AREA_BLOCK, group_distance_array, sq_norm
 from .paths import HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
-from .sde import DiffusionSample, _trial_chunks, levy_area
+from .sde import _strided_gap, _trial_chunks, _trial_values, levy_area
 
 class ConsistencyError(AssertionError):
     """Left-point and by-parts discretizations disagreed beyond O(h)."""
@@ -102,11 +104,33 @@ class ReferenceCurve:
                                z_fn=self.z_fn, dz_fn=self.dz_fn)
 
 
+def _increment_sums(coef: np.ndarray, planar: np.ndarray) -> np.ndarray:
+    """sum_k <coef_k, B_{k+1} - B_k> per path of planar, shape (..., n+1, 2).
+
+    Works through blocks of whole rows that fit in _AREA_BLOCK elements (at
+    least one row), in one reused scratch, so a batch takes its result plus
+    512 KB and no whole-batch temporaries. Each row's sum makes the
+    operations of np.sum(coef * np.diff(planar, axis=-2), axis=(-2, -1)) in
+    the same order, so every value is bitwise the same.
+    """
+    planar = np.asarray(planar)
+    *lead, n1, _ = planar.shape
+    flat = planar.reshape(-1, n1, 2)
+    out = np.empty(flat.shape[0])
+    rows = max(1, _AREA_BLOCK // (2 * n1))
+    scratch = np.empty(rows * (n1 - 1) * 2)
+    for r in range(0, flat.shape[0], rows):
+        p = flat[r:r + rows]
+        d = scratch[:p.shape[0] * (n1 - 1) * 2].reshape(p.shape[0], n1 - 1, 2)
+        np.subtract(p[:, 1:], p[:, :-1], out=d)
+        np.multiply(coef, d, out=d)
+        out[r:r + rows] = np.sum(d, axis=(-2, -1))
+    return out.reshape(lead)[()]
+
+
 def ito_left_sum(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Left-point sum of <phi'(t_k), dB_k>; supports a leading batch axis."""
-    dphi = phi.dplanar_fn(grid.times[:-1])
-    db = np.diff(planar, axis=-2)
-    return np.sum(dphi * db, axis=(-2, -1))
+    return _increment_sums(phi.dplanar_fn(grid.times[:-1]), planar)
 
 
 def ito_by_parts(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -129,7 +153,12 @@ def consistency_gap(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> 
 
 def exp_martingale(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """exp(-int <phi', dB> - int |phi'|^2 / 2), left-point Ito discretization."""
-    return np.exp(-ito_left_sum(phi, planar, grid) - 0.5 * phi.planar_energy)
+    return _martingale_weight(phi, ito_left_sum(phi, planar, grid))
+
+
+def _martingale_weight(phi: ReferenceCurve, left: np.ndarray) -> np.ndarray:
+    """exp_martingale from the left-point sums left = ito_left_sum(...)."""
+    return np.exp(-left - 0.5 * phi.planar_energy)
 
 
 def shift_weight(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -139,14 +168,9 @@ def shift_weight(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.
     """
     h = grid.step
     dphi = np.diff(phi.planar_at(grid.times), axis=0)
-    db = np.diff(planar, axis=-2)
-    stoch = np.sum(dphi * db, axis=(-2, -1)) / h
+    stoch = _increment_sums(dphi, planar) / h
     quad = float(np.sum(dphi * dphi)) / h
     return np.exp(-stoch - 0.5 * quad)
-
-
-# Node stride of the lower bound that tube_deviation takes before the full sup.
-_TUBE_STRIDE = 8
 
 
 def tube_deviation(
@@ -154,8 +178,8 @@ def tube_deviation(
 ) -> np.ndarray:
     """sup over nodes of |B_t - phi(t)| in the plane.
 
-    With a cap, a path's largest gap over every 8th node is taken first. It
-    is a lower bound of the sup, computed by the same expression, and a path
+    With a cap, a path's largest gap over every 8th node (_strided_gap) is
+    taken first. It is a lower bound of the sup, and a path
     whose bound is at least cap gets that bound instead of its sup. Every
     returned value below cap is therefore the exact sup, and every other one
     is at least cap: a caller that compares the result with radii no wider
@@ -166,7 +190,7 @@ def tube_deviation(
     if cap is None:
         return np.sqrt(np.max(sq_norm(planar - nodes), axis=-1))
     rows = planar.reshape(-1, *planar.shape[-2:])
-    out = np.sqrt(np.max(sq_norm(rows[:, ::_TUBE_STRIDE] - nodes[::_TUBE_STRIDE]), axis=-1))
+    out = _strided_gap(rows, nodes)
     near = out < cap
     out[near] = np.sqrt(np.max(sq_norm(rows[near] - nodes), axis=-1))
     return out.reshape(planar.shape[:-2])[()]
@@ -190,22 +214,33 @@ def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
     Returns three integer arrays, one entry per radius in deltas: accepted
     (trials with deviation < delta), and among those below (distance <
     epsilon) and above (distance > epsilon); a trial at exactly epsilon is
-    in neither. The deviation is capped at the widest radius, so it is exact
-    for every trial that some level can accept. The area and the distance
-    are formed only for trials inside the widest tube. Memory is that of a
-    chunk, whatever n_trials.
+    in neither. The trial workers reduce each path to its deviation, capped
+    at the widest radius so it is exact for every trial that some level can
+    accept, and its distance, formed only inside the widest tube (+inf
+    elsewhere); the caller only counts. The trials are drawn with
+    tube=(nodes of phi, widest): a path whose strided gap to phi reaches
+    the widest radius on the first half of the grid is not drawn on, and
+    its deviation is +inf, so the counts are those of whole paths. Memory
+    is that of a chunk, whatever n_trials.
     """
     radii = np.asarray(deltas, dtype=float)
     widest = float(radii.max())
     accepted = np.zeros(radii.size, dtype=np.int64)
     below = np.zeros_like(accepted)
     above = np.zeros_like(accepted)
-    for _, paths in _trial_chunks(grid, rng, n_trials):
-        dev = tube_deviation(phi, paths, grid, cap=widest)
-        inside = np.flatnonzero(dev < widest)
+
+    def reduce(paths):
+        out = np.full((paths.shape[0], 2), np.inf)
+        out[:, 0] = tube_deviation(phi, paths, grid, cap=widest)
+        inside = np.flatnonzero(out[:, 0] < widest)
         sub = paths[inside]
-        dist = distance_to_curve(phi, sub, levy_area(sub), grid)[:, None]
-        acc = dev[inside, None] < radii
+        out[inside, 1] = distance_to_curve(phi, sub, levy_area(sub), grid)
+        return out
+
+    tube = (phi.planar_at(grid.times), widest)
+    for _, values in _trial_chunks(grid, rng, n_trials, reduce, 2, tube=tube):
+        acc = values[:, :1] < radii
+        dist = values[:, 1:]
         accepted += np.count_nonzero(acc, axis=0)
         below += np.count_nonzero(acc & (dist < epsilon), axis=0)
         above += np.count_nonzero(acc & (dist > epsilon), axis=0)
@@ -294,13 +329,12 @@ def girsanov_shift_sampler(
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     origin = ReferenceCurve.zero()
-    w = np.empty(n_trials)
-    dev = np.empty(n_trials)
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        nb = paths.shape[0]
-        w[start:start + nb] = shift_weight(phi, paths, grid)
-        dev[start:start + nb] = tube_deviation(origin, paths, grid)
-    return ShiftSamplerResult(phi.label, w, dev, rng.seed)
+
+    def reduce(paths):
+        return np.stack([shift_weight(phi, paths, grid), tube_deviation(origin, paths, grid)], axis=1)
+
+    values = _trial_values(grid, rng, n_trials, reduce, 2)
+    return ShiftSamplerResult(phi.label, values[:, 0].copy(), values[:, 1].copy(), rng.seed)
 
 
 def girsanov_ratio_experiment(
@@ -313,7 +347,9 @@ def girsanov_ratio_experiment(
     """E[martingale weight | sup |B| < delta] over a delta ladder.
 
     The target of the trend is exp(-planar_energy / 2). A built-in check
-    verifies the two Ito discretizations agree to O(h) on the first chunk.
+    verifies the two Ito discretizations agree to O(h) on the first chunk:
+    the trial workers give each path's gap between them beside its weight
+    and its deviation.
     Levels that were never hit, all of them included, appear with NaN
     estimates and mark the table inconclusive. sup |B| is capped at the
     widest radius, as in _tube_scan.
@@ -324,19 +360,23 @@ def girsanov_ratio_experiment(
     widest = max(float(d) for d in deltas)
     weights = np.empty(n_trials)
     dev = np.empty(n_trials)
-    checked = False
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        nb = paths.shape[0]
-        if not checked:
-            gap = consistency_gap(phi, paths, grid)
+
+    def reduce(paths):
+        left = ito_left_sum(phi, paths, grid)
+        return np.stack([_martingale_weight(phi, left),
+                         tube_deviation(origin, paths, grid, cap=widest),
+                         np.abs(left - ito_by_parts(phi, paths, grid))], axis=1)
+
+    for start, values in _trial_chunks(grid, rng, n_trials, reduce, 3):
+        if start == 0:
+            gap = float(np.max(values[:, 2]))  # consistency_gap of the first chunk
             tol = 10.0 * h * (1.0 + phi.dd_sup)
             if gap > tol:
                 raise ConsistencyError(
                     f"integration-by-parts gap {gap:.3e} exceeds {tol:.3e}"
                 )
-            checked = True
-        weights[start:start + nb] = exp_martingale(phi, paths, grid)
-        dev[start:start + nb] = tube_deviation(origin, paths, grid, cap=widest)
+        weights[start:start + values.shape[0]] = values[:, 0]
+        dev[start:start + values.shape[0]] = values[:, 1]
     target = math.exp(-0.5 * phi.planar_energy)
     rows = []
     for d in deltas:
@@ -365,6 +405,32 @@ def girsanov_ratio_experiment(
     )
 
 
+def _node_indices(grid: TimeGrid, times) -> np.ndarray:
+    """The grid node of each time; ValueError for a time that is not one."""
+    idx = []
+    for t in times:
+        j = round(t / grid.step)
+        if abs(j * grid.step - t) > 1e-12:
+            raise ValueError(f"time {t} is not a grid node")
+        idx.append(j)
+    return np.array(idx, dtype=int)
+
+
+def _clock_values(planar: np.ndarray, area: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
+    """Per trial: A at the nodes idx, then tau there, then B^1, B^2 of each.
+
+    planar (..., n+1, 2) and area (..., n+1) hold m trials; the result has
+    shape (m, 4 len(idx)). tau is the quarter integral of |B|^2 by the
+    trapezoid rule.
+    """
+    planar = planar.reshape(-1, *planar.shape[-2:])
+    sq = sq_norm(planar)
+    cum = np.zeros(sq.shape)
+    np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * h, axis=-1, out=cum[:, 1:])
+    return np.concatenate([area.reshape(sq.shape)[:, idx], 0.25 * cum[:, idx],
+                           planar[:, idx].reshape(sq.shape[0], -1)], axis=1)
+
+
 def time_change_diagnostics(samples, times) -> ResultTable:
     """Variance of A_t against the mean clock E tau(t), plus independence.
 
@@ -378,32 +444,24 @@ def time_change_diagnostics(samples, times) -> ResultTable:
     samples, about sqrt(5/3 / N), and that is the stderr reported.
     """
     times = [float(t) for t in times]
-    a_vals, tau_vals, b_vals = [], [], []
+    values = []
     grid = None
-    idx = None
     for sample in samples:
         if grid is None:
             grid = sample.grid
-            h = grid.step
-            idx = []
-            for t in times:
-                j = round(t / h)
-                if abs(j * h - t) > 1e-12:
-                    raise ValueError(f"time {t} is not a grid node")
-                idx.append(j)
-            idx = np.array(idx, dtype=int)
+            idx = _node_indices(grid, times)
         elif sample.grid != grid:
             raise ValueError("samples live on different grids")
-        planar = sample.planar.reshape(-1, *sample.planar.shape[-2:])
-        sq = sq_norm(planar)
-        cum = np.zeros(sq.shape)
-        np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * h, axis=-1, out=cum[:, 1:])
-        a_vals.append(sample.area.reshape(sq.shape)[:, idx])
-        tau_vals.append(0.25 * cum[:, idx])
-        b_vals.append(planar[:, idx])
-    a = np.concatenate(a_vals)
-    tau = np.concatenate(tau_vals)
-    b = np.concatenate(b_vals)
+        values.append(_clock_values(sample.planar, sample.area, idx, grid.step))
+    return _clock_table(np.concatenate(values), times)
+
+
+def _clock_table(values: np.ndarray, times) -> ResultTable:
+    """The table of time_change_diagnostics from every trial's _clock_values."""
+    k = len(times)
+    a = np.ascontiguousarray(values[:, :k])
+    tau = np.ascontiguousarray(values[:, k:2 * k])
+    b = np.ascontiguousarray(values[:, 2 * k:]).reshape(-1, k, 2)
     n = a.shape[0]
     rows = []
     for j, t in enumerate(times):
@@ -425,11 +483,19 @@ def time_change_diagnostics(samples, times) -> ResultTable:
 
 
 def dds_experiment(n_trials: int, fine_step: float, times, rng: RngSpec) -> ResultTable:
-    """time_change_diagnostics over freshly simulated trial-keyed samples."""
+    """The time_change_diagnostics table of freshly simulated trials.
+
+    The trial workers reduce each path to its _clock_values, so the caller
+    holds 4 len(times) values per trial and no paths.
+    """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    batches = (DiffusionSample(grid, paths, levy_area(paths))
-               for _, paths in _trial_chunks(grid, rng, n_trials))
-    table = time_change_diagnostics(batches, times)
+    times = [float(t) for t in times]
+    idx = _node_indices(grid, times)
+
+    def reduce(paths):
+        return _clock_values(paths, levy_area(paths), idx, grid.step)
+
+    table = _clock_table(_trial_values(grid, rng, n_trials, reduce, 4 * len(times)), times)
     table.meta.update({"seed": rng.seed, "fine_step": fine_step, "n_trials": n_trials})
     return table
 

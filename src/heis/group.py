@@ -26,6 +26,41 @@ def omega(u, w):
     return u[..., 0] * w[..., 1] - w[..., 0] * u[..., 1]
 
 
+# Elements of one block of _area_into: its dx scratch is 512 KB (one row for
+# longer paths), so a batch's area takes its output plus this, not
+# whole-batch temporaries.
+_AREA_BLOCK = 1 << 16
+
+
+def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
+    """Write omega(B_k, dB_k)/2 of planar, shape (m, n+1, 2), into out, (m, n).
+
+    The left-point area increments of piecewise-linear planar paths, the one
+    implementation behind the Brownian Levy area and the horizontal lift.
+    Works through blocks of whole rows, as many as fit in _AREA_BLOCK
+    elements and at least one: dy goes into out, dx into one reused scratch,
+    and x dy - dx y and the halving happen in place. These are the
+    operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so every
+    value is bitwise the same.
+    """
+    m, n = out.shape
+    if m == 0 or n == 0:
+        return
+    rows = max(1, _AREA_BLOCK // n)
+    scratch = np.empty(rows * n)
+    for r in range(0, m, rows):
+        p = planar[r:r + rows]
+        o = out[r:r + rows]
+        dx = scratch[:o.size].reshape(o.shape)
+        x, y = p[:, :-1, 0], p[:, :-1, 1]
+        np.subtract(p[:, 1:, 1], y, out=o)
+        np.subtract(p[:, 1:, 0], x, out=dx)
+        np.multiply(x, o, out=o)
+        np.multiply(dx, y, out=dx)
+        np.subtract(o, dx, out=o)
+        np.multiply(o, 0.5, out=o)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Point (x, y, z) of the group; (x, y) is the planar part."""

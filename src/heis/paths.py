@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import AlgebraElement, GroupElement, group_distance_array, omega, sq_norm
+from .group import AlgebraElement, GroupElement, _area_into, group_distance_array, omega, sq_norm
 
 
 class GridMismatchError(ValueError):
@@ -209,8 +209,9 @@ def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
     dt = np.diff(grid.times)
     dx = np.diff(nodes, axis=0)
     slope = dx / dt[:, None]
-    inc = 0.5 * omega(nodes[:-1], dx)
-    z = np.concatenate([[0.0], np.cumsum(inc)])
+    z = np.zeros(nodes.shape[0])
+    _area_into(nodes[None], z[None, 1:])
+    np.cumsum(z[1:], out=z[1:])
     return HorizontalCurve(grid, nodes, slope, z)
 
 

@@ -26,16 +26,24 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def child_generators(spec: RngSpec, count: int):
-    """Yield generators for spec.child(0), ..., spec.child(count - 1) in order.
+# The generators child_generators hands out, grown on demand. Each process
+# that draws (the caller, or a forked worker with its own copy) keys its own.
+_POOL = []
 
-    Every item is one Generator, re-keyed in place to the next stream (same
-    key masking as RngSpec.generator, zero counter, empty buffer), so its
-    draws equal those of spec.child(i).generator() bit for bit. Each item is
-    valid only until the next one is taken.
+
+def child_generators(spec: RngSpec, count: int) -> list:
+    """Generators for spec.child(0), ..., spec.child(count - 1), as a list.
+
+    The items are count distinct Generators of a per-process pool, each
+    re-keyed in place to its stream (same key masking as RngSpec.generator,
+    zero counter, empty buffer), so the draws of item i equal those of
+    spec.child(i).generator() bit for bit. Being distinct, they can be drawn
+    from in turns: a row may be drawn in two calls, the second going on
+    where the first stopped. They stay valid until the next call of
+    child_generators in the same process re-keys them.
     """
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
+    while len(_POOL) < count:
+        _POOL.append(np.random.Generator(np.random.Philox(key=0)))
     # Plain lists: the state setter reads them in under half the time it
     # takes for uint64 arrays, and it runs once per trial.
     key = [spec.seed & _MASK64, 0]
@@ -47,7 +55,8 @@ def child_generators(spec: RngSpec, count: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i in range(count):
+    generators = _POOL[:count]
+    for i, generator in enumerate(generators):
         key[1] = (spec.stream + i) & _MASK64
-        bit_generator.state = state
-        yield generator
+        generator.bit_generator.state = state
+    return generators

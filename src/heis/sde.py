@@ -9,10 +9,12 @@ integral of the interpolated path, which is horizontal by construction.
 Conventions fixed here and relied on by the tests:
   - stochastic integrals use left-point sums on the fine grid;
   - trial i of any experiment draws from rng.child(i), so estimates depend
-    neither on the chunk size nor on which process draws a trial, or when:
-    two forked worker processes draw chunks ahead into shared slots while
-    the caller reduces the current one (the caller draws them itself where
-    os.fork is missing);
+    neither on the chunk size nor on which process draws a trial, or when;
+  - _trial_chunks is the one trial source, and it yields per-trial values,
+    not paths: an experiment passes a reduce(paths) -> (nb, width) array,
+    and two forked worker processes each draw a chunk of paths, reduce it
+    and hand the caller only the values (the caller draws and reduces them
+    itself where os.fork is missing);
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import group_distance_array, omega
+from .group import _AREA_BLOCK, _area_into, group_distance_array, omega, sq_norm
 from .paths import AnalyticBundle, HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
@@ -40,39 +42,6 @@ def sample_bm(grid: TimeGrid, rng: RngSpec) -> np.ndarray:
     out = np.empty((1, grid.n_steps + 1, 2))
     _draw_rows(rng, 0, out, math.sqrt(grid.step))
     return out[0]
-
-
-# Elements of one block of _area_into: its dx scratch is 512 KB (one row for
-# longer paths), so a chunk's area takes its output plus this, not
-# whole-chunk temporaries.
-_AREA_BLOCK = 1 << 16
-
-
-def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
-    """Write omega(B_k, dB_k)/2 of planar, shape (m, n+1, 2), into out, (m, n).
-
-    Works through blocks of whole rows, as many as fit in _AREA_BLOCK
-    elements and at least one: dy goes into out, dx into one reused scratch,
-    and x dy - dx y and the halving happen in place. These are the
-    operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so every
-    value is bitwise the same.
-    """
-    m, n = out.shape
-    if m == 0 or n == 0:
-        return
-    rows = max(1, _AREA_BLOCK // n)
-    scratch = np.empty(rows * n)
-    for r in range(0, m, rows):
-        p = planar[r:r + rows]
-        o = out[r:r + rows]
-        dx = scratch[:o.size].reshape(o.shape)
-        x, y = p[:, :-1, 0], p[:, :-1, 1]
-        np.subtract(p[:, 1:, 1], y, out=o)
-        np.subtract(p[:, 1:, 0], x, out=dx)
-        np.multiply(x, o, out=o)
-        np.multiply(dx, y, out=dx)
-        np.subtract(o, dx, out=o)
-        np.multiply(o, 0.5, out=o)
 
 
 def area_increments(planar: np.ndarray) -> np.ndarray:
@@ -244,49 +213,95 @@ def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_are
     return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-# Byte budget of the trial source's shared buffer: two workers each draw up
-# to two chunks ahead of the caller, so it holds four chunk slots and each
-# slot gets a quarter. 128 rows fit a slot on grids up to 2^12 steps, and a
-# finer grid gets fewer rows instead of slots that grow with it.
+# Byte budget of the drawn paths: a worker draws one chunk at a time into a
+# private buffer of at most a quarter of it, so 128 rows fit on grids up to
+# 2^12 steps, and a finer grid gets fewer rows instead of a buffer that grows
+# with it. The shared buffer holds _SLOTS chunks of reduced values.
 _CHUNK_BYTES = 64 << 20
 _SLOTS = 4
 _WORKERS = 2
 
-# One-byte tokens. From a worker: a chunk is drawn, or the worker failed and
+# Node stride of the lower bound of a path's planar gap to a curve that the
+# tube draw and tube_deviation take before the full sup.
+_TUBE_STRIDE = 8
+
+# One-byte tokens. From a worker: a chunk is reduced, or the worker failed and
 # its traceback follows. To a worker: the caller is done with a slot.
 _DRAWN, _FAILED, _FREED = b"+", b"!", b"-"
 
 
-def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float) -> None:
+def _strided_gap(planar: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Largest |B - phi| over every _TUBE_STRIDE-th node, per row.
+
+    planar has shape (m, k, 2) and nodes (k, 2). A lower bound of the sup
+    over all k nodes.
+    """
+    return np.sqrt(np.max(sq_norm(planar[:, ::_TUBE_STRIDE] - nodes[::_TUBE_STRIDE]), axis=-1))
+
+
+def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, tube=None) -> None:
     """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1.
 
     Each path starts at 0 and sums its normals, scaled by s, in order. Runs
     in the worker processes of _trial_chunks (on the caller where os.fork is
     missing), and draws the one path of sample_bm. It draws through its own
-    re-keyed generator and calls only RngSpec.child and child_generators, so
-    a worker touches nothing but numpy's generator and its chunk slots.
+    re-keyed generators and calls only RngSpec.child and child_generators,
+    so a worker touches nothing but numpy's generators and its buffers.
+
+    With tube = (nodes, widest), nodes being a curve at the n + 1 grid
+    nodes, each row is drawn in two parts. First every row up to the split
+    node, the largest multiple of _TUBE_STRIDE not above n/2. A row whose
+    _strided_gap to nodes up to the split, tube_deviation's strided bound on
+    those nodes, is at least widest has a sup at least widest: every node
+    after the split is set to +inf, so tube_deviation with a cap of widest
+    gives it a value of at least that cap. Only the other rows are drawn on,
+    each from its own generator where the first part stopped, so each kept
+    row is bitwise its whole-row draw. A split of 0 draws whole rows.
     """
+    n = rows.shape[1] - 1
+    split = n // 2 // _TUBE_STRIDE * _TUBE_STRIDE if tube is not None else 0
+    generators = child_generators(rng.child(first), rows.shape[0])
+    drawn = range(rows.shape[0])
     rows[:, 0] = 0.0
-    steps = rows[:, 1:]
-    for row, generator in zip(steps, child_generators(rng.child(first), rows.shape[0])):
-        generator.standard_normal(out=row)
-    steps *= s
     # Read as one complex number per node, the running sum makes the same
     # additions in the same order, in about half the time of the real one.
-    walk = rows.view(np.complex128)[:, 1:, 0]
-    np.cumsum(walk, axis=1, out=walk)
+    walk = rows.view(np.complex128)[:, :, 0]
+    for lo, hi in ((0, split), (split, n)) if split else ((0, n),):
+        if lo:
+            nodes, widest = tube
+            left = _strided_gap(rows[:, :lo + 1], nodes[:lo + 1]) >= widest
+            rows[left, lo + 1:] = np.inf
+            drawn = np.flatnonzero(~left)
+        for i in drawn:
+            generators[i].standard_normal(out=rows[i, lo + 1:hi + 1])
+        rows[:, lo + 1:hi + 1] *= s
+        # node lo holds its sum already (node 0 holds 0 and is left out)
+        part = walk[:, max(lo, 1):hi + 1]
+        np.cumsum(part, axis=1, out=part)
 
 
-def _work(rng, starts, rows, n_trials, s, slots, w, ends):
-    """Body of worker w, forked by _trial_chunks: draw chunks w, w + 2, ...
+def _reduce_chunk(rng, start, paths, s, tube, reduce, out) -> None:
+    """Draw trials start .. into paths and write reduce's values into out."""
+    _draw_rows(rng, start, paths, s, tube)
+    shown = paths.view()
+    shown.flags.writeable = False
+    values = reduce(shown)
+    if np.shape(values) != out.shape:
+        raise ValueError(f"reduce gave shape {np.shape(values)} for {out.shape} values")
+    out[...] = values
+
+
+def _work(rng, starts, rows, n_trials, n, s, reduce, tube, slots, w, ends):
+    """Body of worker w, forked by _trial_chunks: reduce chunks w, w + 2, ...
 
     ends holds the four pipe ends of each worker (see _trial_chunks); this
-    one closes all but its own two. Chunk c goes into slot c % 4 once the
-    caller has handed that slot back by a byte on free (its first two slots
-    start free), and each drawn chunk is a _DRAWN byte on ready. An error
-    sends _FAILED and its traceback. An end of file on free means the caller
-    is gone. Leaves only by os._exit, so nothing of the caller's (atexit
-    hooks, buffered output) runs twice.
+    one closes all but its own two. Chunk c is drawn into a private buffer,
+    allocated here after the fork, and its values go into slot c % 4 once
+    the caller has handed that slot back by a byte on free (its first two
+    slots start free); each is then a _DRAWN byte on ready. An error sends
+    _FAILED and its traceback. An end of file on free means the caller is
+    gone. Leaves only by os._exit, so nothing of the caller's (atexit hooks,
+    buffered output) runs twice.
     """
     code = 0
     ready, free = ends[4 * w + 1], ends[4 * w + 2]
@@ -294,11 +309,12 @@ def _work(rng, starts, rows, n_trials, s, slots, w, ends):
         for fd in ends:
             if fd not in (ready, free):
                 os.close(fd)
+        paths = np.empty((rows, n + 1, 2))
         for c in range(w, len(starts), _WORKERS):
             if c >= _SLOTS and not os.read(free, 1):
                 break
-            start = starts[c]
-            _draw_rows(rng, start, slots[c % _SLOTS, :min(rows, n_trials - start)], s)
+            nb = min(rows, n_trials - starts[c])
+            _reduce_chunk(rng, starts[c], paths[:nb], s, tube, reduce, slots[c % _SLOTS, :nb])
             os.write(ready, _DRAWN)
     except BaseException:
         code = 1
@@ -318,42 +334,53 @@ def _worker_error(ready: int, token: bytes, start: int) -> RuntimeError:
     return RuntimeError(f"a trial worker failed:\n{text}")
 
 
-def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 128):
-    """Trial-keyed Brownian paths in batches of shape (nb, n+1, 2).
+def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int,
+                  chunk: int = 128, tube=None):
+    """Per-trial values of trial-keyed Brownian paths, chunk by chunk.
 
-    Row i holds trial start + i, drawn from rng.child(start + i), scaled by
-    sqrt(h) and summed in order along the time axis, so the values do not
-    depend on the chunk size. A chunk holds at most `chunk` rows and at most
-    _CHUNK_BYTES // 4 bytes (at least one row). Chunks are yielded in trial
-    order, each as a read-only view that stays valid until the next chunk is
-    requested: copy what must outlive that.
+    Row i of a chunk's paths, shape (nb, n+1, 2), holds trial start + i,
+    drawn from rng.child(start + i), scaled by sqrt(h) and summed in order
+    along the time axis, so the paths do not depend on the chunk size. A
+    chunk holds at most `chunk` rows and at most _CHUNK_BYTES // 4 bytes of
+    paths (at least one row). reduce(paths) gets each chunk's paths as a
+    read-only array and returns an (nb, width) float array of per-trial
+    values; the values are what is yielded, as (start, values) in trial
+    order, each a read-only view that stays valid until the next chunk is
+    requested: copy what must outlive that. reduce must be deterministic per
+    row, so the values do not depend on the chunk size either. tube =
+    (nodes, widest) draws the rows as _draw_rows says: a row whose strided
+    gap to nodes passes widest on the first half of the grid is not drawn
+    on, and its nodes after the split are +inf.
 
-    Two worker processes, forked per call, draw the chunks: worker c % 2
-    draws chunk c into slot c % 4 of one anonymous shared mmap, so each
-    works up to two chunks ahead while the caller only reduces. One-byte
+    Two worker processes, forked per call, draw and reduce the chunks:
+    worker c % 2 draws chunk c into a private buffer, reduces it and writes
+    the values into slot c % 4 of one anonymous shared mmap of
+    4 x rows x width x 8 bytes, so each works up to two chunks ahead while
+    the caller only sums values; the caller maps no path memory. One-byte
     pipe tokens hand each slot between a worker and the caller. Each worker
     keeps only its own two pipe ends, so a worker whose caller dies sees an
-    end of file or a broken pipe and exits. A worker's error reaches the
-    caller as a RuntimeError carrying the worker's traceback. However the
-    caller leaves (exhausted, closed early, an exception), it SIGKILLs and
-    reaps every worker. Where os.fork is missing, the caller draws each
-    chunk itself into one reused buffer.
+    end of file or a broken pipe and exits. A worker's error, reduce's
+    included, reaches the caller as a RuntimeError carrying the worker's
+    traceback. However the caller leaves (exhausted, closed early, an
+    exception), it SIGKILLs and reaps every worker. Where os.fork is
+    missing, the caller draws and reduces each chunk itself into reused
+    buffers.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
     rows = max(1, min(chunk, _CHUNK_BYTES // _SLOTS // ((n + 1) * 16)))
     starts = range(0, n_trials, rows)
     if not hasattr(os, "fork"):
-        paths = np.empty((rows, n + 1, 2))
-        shown = paths.view()
+        paths, values = np.empty((rows, n + 1, 2)), np.empty((rows, width))
+        shown = values.view()
         shown.flags.writeable = False
         for start in starts:
             nb = min(rows, n_trials - start)
-            _draw_rows(rng, start, paths[:nb], s)
+            _reduce_chunk(rng, start, paths[:nb], s, tube, reduce, values[:nb])
             yield start, shown[:nb]
         return
-    buf = mmap.mmap(-1, _SLOTS * rows * (n + 1) * 16)
-    slots = np.frombuffer(buf).reshape(_SLOTS, rows, n + 1, 2)
+    buf = mmap.mmap(-1, _SLOTS * rows * width * 8)
+    slots = np.frombuffer(buf).reshape(_SLOTS, rows, width)
     shown = np.frombuffer(memoryview(buf).toreadonly()).reshape(slots.shape)
     ends, pids = [], []  # the pipe ends the caller holds, the workers' ids
     try:
@@ -363,7 +390,7 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 128)
         for w in range(workers):
             pid = os.fork()
             if pid == 0:
-                _work(rng, starts, rows, n_trials, s, slots, w, ends)
+                _work(rng, starts, rows, n_trials, n, s, reduce, tube, slots, w, ends)
             pids.append(pid)
         for fd in ends[1::4] + ends[2::4]:
             os.close(fd)
@@ -389,6 +416,14 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, chunk: int = 128)
             os.waitpid(pid, 0)
 
 
+def _trial_values(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int) -> np.ndarray:
+    """Every trial's values of _trial_chunks in one (n_trials, width) array."""
+    out = np.empty((n_trials, width))
+    for start, values in _trial_chunks(grid, rng, n_trials, reduce, width):
+        out[start:start + values.shape[0]] = values
+    return out
+
+
 def ws_convergence_experiment(
     deltas, fine_step: float, n_trials: int, rng: RngSpec, interpolant: Interpolant = LINEAR
 ) -> ResultTable:
@@ -399,14 +434,18 @@ def ws_convergence_experiment(
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     ms = [_coarse_factor(grid, float(dl)) for dl in deltas]
-    dsq = np.empty((n_trials, len(ms)))
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        for i, planar in enumerate(paths, start):
+
+    def reduce(paths):
+        dsq = np.empty((paths.shape[0], len(ms)))
+        for i, planar in enumerate(paths):
             area = levy_area(planar)
             for j, m in enumerate(ms):
                 wp, wa = _wz_fine(planar, m, interpolant)
                 dist = group_distance_array(wp, wa, planar, area)
                 dsq[i, j] = np.max(dist) ** 2
+        return dsq
+
+    dsq = _trial_values(grid, rng, n_trials, reduce, len(ms))
     rows = []
     for j, dl in enumerate(deltas):
         est, se = mean_and_stderr(dsq[:, j])
@@ -435,14 +474,19 @@ def energy_divergence_experiment(
     grid = TimeGrid.uniform(round(1.0 / h_min))
     factors = [_coarse_factor(grid, s) for s in steps]
     m_delta = _coarse_factor(grid, wz_delta)
-    raw = np.empty((n_trials, len(steps)))
-    smoothed = np.empty((n_trials, len(steps)))
-    for start, paths in _trial_chunks(grid, rng, n_trials):
-        for i, planar in enumerate(paths, start):
+
+    def reduce(paths):
+        """Per trial, the raw energies at each step, then the smoothed ones."""
+        out = np.empty((paths.shape[0], 2 * len(steps)))
+        for i, planar in enumerate(paths):
             fine_wz, _ = _wz_fine(planar, m_delta, LINEAR)
             for j, (h, m) in enumerate(zip(steps, factors)):
-                raw[i, j] = np.sum(np.diff(planar[::m], axis=0) ** 2) / h
-                smoothed[i, j] = np.sum(np.diff(fine_wz[::m], axis=0) ** 2) / h
+                out[i, j] = np.sum(np.diff(planar[::m], axis=0) ** 2) / h
+                out[i, len(steps) + j] = np.sum(np.diff(fine_wz[::m], axis=0) ** 2) / h
+        return out
+
+    energies = _trial_values(grid, rng, n_trials, reduce, 2 * len(steps))
+    raw, smoothed = energies[:, :len(steps)], energies[:, len(steps):]
     rows = []
     for j, h in enumerate(steps):
         est, se = mean_and_stderr(raw[:, j])
@@ -468,13 +512,16 @@ def levy_area_law_experiment(
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     rows = max(1, _AREA_BLOCK // grid.n_steps)
-    a1 = np.empty(n_trials)
-    for start, paths in _trial_chunks(grid, rng, n_trials):
+
+    def reduce(paths):
         # Blocks of whole rows hold at most 512 KB of increments; a row's sum
         # is the one over the whole chunk's increments, bit for bit.
+        a1 = np.empty((paths.shape[0], 1))
         for r in range(0, paths.shape[0], rows):
-            block = area_increments(paths[r:r + rows])
-            a1[start + r:start + r + block.shape[0]] = np.sum(block, axis=-1)
+            a1[r:r + rows, 0] = np.sum(area_increments(paths[r:r + rows]), axis=-1)
+        return a1
+
+    a1 = _trial_values(grid, rng, n_trials, reduce, 1)[:, 0]
     var, var_se = variance_and_stderr(a1)
     # row 0 is Var(A_1) with a NaN marker in the delta slot; the remaining
     # rows put lambda there (the shared experiment schema has no lambda field)

@@ -222,8 +222,9 @@ def test_criterion_08_girsanov_suite():
     n = 50000
     grid = TimeGrid.uniform(1024)
     dev = np.empty(n)
-    for start, paths in _trial_chunks(grid, RngSpec(SEED, 10 ** 6), n):
-        dev[start:start + paths.shape[0]] = tube_deviation(phi, paths, grid)
+    for start, values in _trial_chunks(grid, RngSpec(SEED, 10 ** 6), n,
+                                       lambda paths: tube_deviation(phi, paths, grid)[:, None], 1):
+        dev[start:start + values.shape[0]] = values[:, 0]
     k = int(np.sum(dev < 1.0))
     p_rej = k / n
     se_rej = math.sqrt(p_rej * (1.0 - p_rej) / n)

@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from heis import girsanov
+from heis import girsanov, group
 from heis.girsanov import (
     ConsistencyError,
     ReferenceCurve,
@@ -37,8 +39,12 @@ GRID = TimeGrid.uniform(256)
 
 
 def _paths(n, rng, grid=GRID):
-    # each chunk is copied: it is valid only until the next one is requested
-    return np.concatenate([p.copy() for _, p in _trial_chunks(grid, rng, n)])
+    """Trials 0 .. n - 1 of rng, through a reduce that keeps whole paths."""
+    values = np.empty((n, 2 * (grid.n_steps + 1)))
+    for start, v in _trial_chunks(grid, rng, n, lambda p: p.reshape(p.shape[0], -1),
+                                  values.shape[1]):
+        values[start:start + v.shape[0]] = v
+    return values.reshape(n, -1, 2)
 
 
 class TestReferenceCurve:
@@ -98,6 +104,39 @@ class TestItoDiscretizations:
         paths = _paths(8, RngSpec(seed), grid)
         gap = consistency_gap(phi, paths, grid)
         assert gap <= 10.0 * grid.step * (1.0 + phi.dd_sup)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["line", "poly2"]), lead=st.lists(st.integers(0, 5), max_size=2),
+           k=st.integers(0, 7), block=st.sampled_from([1, 2, 5, 64, group._AREA_BLOCK]),
+           data=st.data())
+    def test_blocked_increment_sums_are_bitwise_the_old_expressions(
+            self, kind, lead, k, block, data):
+        """ito_left_sum and shift_weight, worked through blocks of whole
+        rows, give the bytes of their whole-batch expressions."""
+        phi = getattr(ReferenceCurve, kind)(1.5, -0.75)
+        grid = TimeGrid.uniform(2 ** k)
+        planar = data.draw(hnp.arrays(np.float64, (*lead, 2 ** k + 1, 2),
+                                      elements=st.floats(-1e3, 1e3)))
+        dphi = np.diff(phi.planar_at(grid.times), axis=0)
+        with np.errstate(over="ignore"):
+            old_left = np.sum(phi.dplanar_fn(grid.times[:-1]) * np.diff(planar, axis=-2),
+                              axis=(-2, -1))
+            old_shift = np.exp(-np.sum(dphi * np.diff(planar, axis=-2), axis=(-2, -1)) / grid.step
+                               - 0.5 * float(np.sum(dphi * dphi)) / grid.step)
+            with mock.patch.object(girsanov, "_AREA_BLOCK", block):
+                left, shift = ito_left_sum(phi, planar, grid), shift_weight(phi, planar, grid)
+        for new, old in ((left, old_left), (shift, old_shift)):
+            assert np.shape(new) == np.shape(old)
+            assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+    def test_blocked_increment_sums_on_a_chunk_of_many_blocks(self):
+        """At the module's block size, a 300-row chunk on 2^-10 takes ten
+        blocks of 32 rows, the last one partial."""
+        phi = ReferenceCurve.poly2(1.0, 1.0)
+        grid = TimeGrid.uniform(1024)
+        paths = _paths(300, RngSpec(23), grid)
+        old = np.sum(phi.dplanar_fn(grid.times[:-1]) * np.diff(paths, axis=-2), axis=(-2, -1))
+        assert ito_left_sum(phi, paths, grid).tobytes() == old.tobytes()
 
     def test_martingale_on_the_curve_itself(self):
         # B identical to phi(t) = (t, 0): the stochastic term is exactly 1
@@ -293,6 +332,28 @@ class TestTubeDeviationCap:
         full = tube_deviation(phi, paths, grid)
         cap = float(np.quantile(full, q)) if n_paths else 1.0
         self._check(phi, paths, grid, cap)
+
+
+class TestTubeScan:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["line", "poly2"]), a=st.floats(-1.5, 1.5),
+           b=st.floats(-1.5, 1.5), k=st.integers(3, 10),
+           radii=st.lists(st.floats(0.3, 1.5), min_size=1, max_size=3),
+           epsilon=st.floats(0.3, 1.5), n=st.integers(1, 60), seed=st.integers(0, 2 ** 16))
+    def test_counts_equal_full_path_counts(self, kind, a, b, k, radii, epsilon, n, seed):
+        """Dropping the trials that leave the widest tube on the first half of
+        the grid, and capping the deviation, change no count: the counts are
+        those of whole paths with the uncapped deviation."""
+        phi = getattr(ReferenceCurve, kind)(a, b)
+        grid, rng = TimeGrid.uniform(2 ** k), RngSpec(seed, 3)
+        paths = _paths(n, rng, grid)
+        dev = tube_deviation(phi, paths, grid)[:, None]
+        dist = distance_to_curve(phi, paths, levy_area(paths), grid)[:, None]
+        acc = dev < np.array(radii)
+        accepted, below, above = girsanov._tube_scan(phi, n, rng, grid, radii, epsilon)
+        np.testing.assert_array_equal(accepted, np.count_nonzero(acc, axis=0))
+        np.testing.assert_array_equal(below, np.count_nonzero(acc & (dist < epsilon), axis=0))
+        np.testing.assert_array_equal(above, np.count_nonzero(acc & (dist > epsilon), axis=0))
 
 
 class TestShiftSampler:

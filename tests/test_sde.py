@@ -1,5 +1,6 @@
 """Brownian sampling, stochastic area, smoothing transforms."""
 
+import contextlib
 import math
 import os
 import signal
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heis import sde
+from heis import group, sde
 from heis.group import group_distance_array, omega
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
@@ -123,11 +124,11 @@ def _planar_views(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(planar=_planar_views(), block=st.sampled_from([1, 2, 5, 64, sde._AREA_BLOCK]))
+@given(planar=_planar_views(), block=st.sampled_from([1, 2, 5, 64, group._AREA_BLOCK]))
 def test_area_kernel_is_bitwise_the_old_expressions(planar, block):
     """Any block size, batch shape, row count or stride gives the bytes of
     0.5 * omega(B[:-1], diff(B)) and its running sum."""
-    with mock.patch.object(sde, "_AREA_BLOCK", block):
+    with mock.patch.object(group, "_AREA_BLOCK", block):
         inc, area = area_increments(planar), levy_area(planar)
     _assert_same_bytes(inc, _old_increments(planar))
     _assert_same_bytes(area, _old_levy_area(planar))
@@ -177,10 +178,32 @@ def _per_trial_paths(grid, rng, n_trials):
     return out
 
 
-def _drawn(*args, **kwargs):
-    """(start, paths) of every chunk of _trial_chunks, each copied before the
-    next one is requested, since a yielded chunk is valid only until then."""
-    return [(start, paths.copy()) for start, paths in _trial_chunks(*args, **kwargs)]
+def _rows(paths):
+    """A reduce that keeps whole paths, one flat row per trial."""
+    return paths.reshape(paths.shape[0], -1)
+
+
+def _chunks(grid, rng, n_trials, **kwargs):
+    """_trial_chunks with a reduce whose values are the paths themselves."""
+    return _trial_chunks(grid, rng, n_trials, _rows, 2 * (grid.n_steps + 1), **kwargs)
+
+
+def _drawn(grid, rng, n_trials, **kwargs):
+    """(start, paths) of every chunk of _chunks, each copied before the next
+    one is requested, since a yielded chunk is valid only until then."""
+    return [(start, values.reshape(values.shape[0], -1, 2).copy())
+            for start, values in _chunks(grid, rng, n_trials, **kwargs)]
+
+
+@contextlib.contextmanager
+def _without_fork():
+    """os as on a platform without os.fork, where the caller draws."""
+    fork = os.fork
+    del os.fork
+    try:
+        yield
+    finally:
+        os.fork = fork
 
 
 def _no_child_left():
@@ -222,14 +245,43 @@ def test_trial_chunks_match_per_trial_generators(chunk, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), n_steps=st.integers(1, 16))
-def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, n_steps):
-    grid = TimeGrid.uniform(n_steps)
+@given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), k=st.integers(0, 10),
+       fork=st.booleans())
+def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, k, fork):
+    """A reduce that returns the paths gives the per-trial reference bit for
+    bit on grids of 2^-k, with the workers and without os.fork."""
+    grid = TimeGrid.uniform(2 ** k)
     rng = RngSpec(91, 7)
-    items = _drawn(grid, rng, n_trials, chunk=chunk)
+    with contextlib.nullcontext() if fork else _without_fork():
+        items = _drawn(grid, rng, n_trials, chunk=chunk)
     assert [start for start, _ in items] == list(range(0, n_trials, chunk))
-    drawn = np.concatenate([np.empty((0, n_steps + 1, 2))] + [p for _, p in items])
+    drawn = np.concatenate([np.empty((0, 2 ** k + 1, 2))] + [p for _, p in items])
     np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
+
+
+@pytest.mark.parametrize("n_steps", [8, 15, 16, 17, 64, 1000, 1024])
+def test_tube_draw_keeps_rows_bitwise_and_drops_only_rows_out_of_the_tube(n_steps):
+    """Drawn in two parts, a kept row is its whole-row draw bit for bit; a
+    dropped row has its draw up to the split, +inf after it, and a sup of
+    at least the radius. Grids under 16 steps split at 0: whole rows."""
+    grid, rng = TimeGrid.uniform(n_steps), RngSpec(17, 5)
+    s = math.sqrt(grid.step)
+    nodes = np.stack([grid.times, 0.5 * grid.times], axis=-1)
+    whole = np.empty((300, n_steps + 1, 2))
+    sde._draw_rows(rng, 0, whole, s)
+    sup = np.sqrt(np.max(np.sum((whole - nodes) ** 2, axis=-1), axis=-1))
+    split = n_steps // 2 // 8 * 8
+    dropped = 0
+    for widest in [*np.quantile(sup, [0.05, 0.5, 0.95]), np.inf]:
+        two = np.empty_like(whole)
+        sde._draw_rows(rng, 0, two, s, (nodes, widest))
+        kept = np.isfinite(two[:, -1, 0])
+        np.testing.assert_array_equal(two[kept], whole[kept])
+        np.testing.assert_array_equal(two[:, :split + 1], whole[:, :split + 1])
+        assert np.all(two[~kept, split + 1:] == np.inf)
+        assert np.all(sup[~kept] >= widest)
+        dropped += int(np.sum(~kept))
+    assert (dropped > 0) == (split > 0)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 37, 256])
@@ -252,19 +304,23 @@ def test_without_fork_the_caller_draws_the_same_rows(monkeypatch):
     assert [start for start, _ in items] == list(range(0, 50, 8))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, 50))
-    assert not next(_trial_chunks(grid, rng, 50))[1].flags.writeable
+    assert not next(_chunks(grid, rng, 50))[1].flags.writeable
 
 
 def test_yielded_chunks_are_read_only():
-    for start, paths in _trial_chunks(GRID, RngSpec(3), 30, chunk=7):
-        assert not paths.flags.writeable
+    def reduce(paths):
+        assert not paths.flags.writeable  # in the worker
+        return _rows(paths)
+
+    for start, values in _trial_chunks(GRID, RngSpec(3), 30, reduce, 2 * 257, chunk=7):
+        assert not values.flags.writeable
         with pytest.raises(ValueError):
-            paths[0, 0, 0] = 1.0
+            values[0, 0] = 1.0
     _no_child_left()
 
 
 def test_closing_trial_chunks_early_leaves_no_worker():
-    chunks = _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
+    chunks = _chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
     next(chunks)
     chunks.close()
     _no_child_left()
@@ -272,7 +328,7 @@ def test_closing_trial_chunks_early_leaves_no_worker():
 
 def test_a_consumer_error_leaves_no_worker():
     with pytest.raises(KeyError):
-        for start, paths in _trial_chunks(GRID, RngSpec(3), 1000, chunk=7):
+        for start, values in _chunks(GRID, RngSpec(3), 1000, chunk=7):
             if start > 20:
                 raise KeyError(start)
     _no_child_left()
@@ -287,7 +343,7 @@ def test_draw_error_reaches_the_caller(monkeypatch):
         return draw(rng, first, *args)
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
-    chunks = _trial_chunks(GRID, RngSpec(3), 20, chunk=10)
+    chunks = _chunks(GRID, RngSpec(3), 20, chunk=10)
     assert next(chunks)[0] == 0
     with pytest.raises(RuntimeError, match="trial 10 failed"):
         next(chunks)
@@ -304,7 +360,7 @@ def test_a_worker_error_leaves_no_worker(monkeypatch):
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
     with pytest.raises(RuntimeError, match="trial 70 failed"):
-        for _ in _trial_chunks(GRID, RngSpec(3), 200, chunk=10):
+        for _ in _chunks(GRID, RngSpec(3), 200, chunk=10):
             pass
     _no_child_left()
 
@@ -314,7 +370,8 @@ import sys, time
 from heis.paths import TimeGrid
 from heis.rng import RngSpec
 from heis.sde import _trial_chunks
-for start, paths in _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 10 ** 6, chunk=16):
+for start, values in _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 10 ** 6,
+                                   lambda paths: paths[:, -1], 2, chunk=16):
     if start == 0:
         print("first chunk", flush=True)
     time.sleep(0.001)
@@ -366,9 +423,10 @@ def test_trial_chunks_stay_within_byte_budget():
     grid = TimeGrid.uniform(2 ** 18)
     rng = RngSpec(4)
     rows = []
-    for start, paths in _trial_chunks(grid, rng, 20):
+    for start, paths in _chunks(grid, rng, 20):
         assert 4 * paths.nbytes <= _CHUNK_BYTES
         assert _shared_bytes(paths) <= _CHUNK_BYTES
+        paths = paths.reshape(paths.shape[0], -1, 2)
         if start > 0:  # the first row of a later chunk is still trial `start`
             np.testing.assert_array_equal(paths[0], _per_trial_paths(grid, rng.child(start), 1)[0])
         rows.append(paths.shape[0])
@@ -378,16 +436,30 @@ def test_trial_chunks_stay_within_byte_budget():
 @pytest.mark.parametrize("n_steps,chunk", [(64, 128), (64, 7), (4096, 128), (2 ** 14, 128)])
 def test_shared_buffer_does_not_grow_with_trials(n_steps, chunk):
     """tracemalloc does not see the mmap that holds the slots, so this
-    checks its size: it depends on the grid and chunk alone."""
-    grid = TimeGrid.uniform(n_steps)
+    checks its size: four slots of 3 values per row, whose rows depend on
+    the grid and chunk alone, not on the trials; no path is in it."""
+    grid, width = TimeGrid.uniform(n_steps), 3
     sizes = set()
     for n_trials in (1, 1024, 65536):
-        chunks = _trial_chunks(grid, RngSpec(5), n_trials, chunk=chunk)
+        chunks = _trial_chunks(grid, RngSpec(5), n_trials,
+                               lambda paths: paths[:, -1, :1].repeat(width, axis=1), width,
+                               chunk=chunk)
         sizes.add(_shared_bytes(next(chunks)[1]))
         chunks.close()
     rows = min(chunk, _CHUNK_BYTES // 4 // ((n_steps + 1) * 16))
-    assert sizes == {4 * rows * (n_steps + 1) * 16}
+    assert sizes == {4 * rows * width * 8}
     _no_child_left()
+
+
+def test_a_reduce_of_the_wrong_shape_is_an_error():
+    def reduce(paths):
+        return paths[:, -1]  # width 2, not 3
+
+    with pytest.raises(RuntimeError, match="reduce gave shape"):
+        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3, chunk=10))
+    _no_child_left()
+    with _without_fork(), pytest.raises(ValueError, match="reduce gave shape"):
+        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3, chunk=10))
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1023, 1024, 4096, 5000])
