@@ -347,9 +347,9 @@ def girsanov_ratio_experiment(
     """E[martingale weight | sup |B| < delta] over a delta ladder.
 
     The target of the trend is exp(-planar_energy / 2). A built-in check
-    verifies the two Ito discretizations agree to O(h) on the first chunk:
-    the trial workers give each path's gap between them beside its weight
-    and its deviation.
+    verifies the two Ito discretizations agree to O(h) on every trial: the
+    trial workers give each path's gap between them beside its weight and
+    its deviation.
     Levels that were never hit, all of them included, appear with NaN
     estimates and mark the table inconclusive. sup |B| is capped at the
     widest radius, as in _tube_scan.
@@ -358,8 +358,6 @@ def girsanov_ratio_experiment(
     h = grid.step
     origin = ReferenceCurve.zero()
     widest = max(float(d) for d in deltas)
-    weights = np.empty(n_trials)
-    dev = np.empty(n_trials)
 
     def reduce(paths):
         left = ito_left_sum(phi, paths, grid)
@@ -367,16 +365,12 @@ def girsanov_ratio_experiment(
                          tube_deviation(origin, paths, grid, cap=widest),
                          np.abs(left - ito_by_parts(phi, paths, grid))], axis=1)
 
-    for start, values in _trial_chunks(grid, rng, n_trials, reduce, 3):
-        if start == 0:
-            gap = float(np.max(values[:, 2]))  # consistency_gap of the first chunk
-            tol = 10.0 * h * (1.0 + phi.dd_sup)
-            if gap > tol:
-                raise ConsistencyError(
-                    f"integration-by-parts gap {gap:.3e} exceeds {tol:.3e}"
-                )
-        weights[start:start + values.shape[0]] = values[:, 0]
-        dev[start:start + values.shape[0]] = values[:, 1]
+    values = _trial_values(grid, rng, n_trials, reduce, 3)
+    weights, dev = values[:, 0], values[:, 1]
+    gap = float(np.max(values[:, 2], initial=0.0))  # consistency_gap over every trial
+    tol = 10.0 * h * (1.0 + phi.dd_sup)
+    if gap > tol:
+        raise ConsistencyError(f"integration-by-parts gap {gap:.3e} exceeds {tol:.3e}")
     target = math.exp(-0.5 * phi.planar_energy)
     rows = []
     for d in deltas:

@@ -11,7 +11,7 @@ piecewise-linear planar path the lift has the exact per-interval increment
 omega(x_i, dx_i) / 2, because omega(dx, dx) = 0 on each linear piece.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

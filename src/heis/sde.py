@@ -13,13 +13,13 @@ Conventions fixed here and relied on by the tests:
   - _trial_chunks is the one trial source, and it yields per-trial values,
     not paths: an experiment passes a reduce(paths) -> (nb, width) array,
     and two forked worker processes each draw a chunk of paths, reduce it
-    and hand the caller only the values (the caller draws and reduces them
+    and send the caller only the values down a pipe; each yielded chunk is
+    an array of the caller's own (the caller draws and reduces the chunks
     itself where os.fork is missing);
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
 import math
-import mmap
 import os
 import signal
 import traceback
@@ -213,21 +213,20 @@ def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_are
     return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-# Byte budget of the drawn paths: a worker draws one chunk at a time into a
-# private buffer of at most a quarter of it, so 128 rows fit on grids up to
-# 2^12 steps, and a finer grid gets fewer rows instead of a buffer that grows
-# with it. The shared buffer holds _SLOTS chunks of reduced values.
-_CHUNK_BYTES = 64 << 20
-_SLOTS = 4
+# Byte budget of one chunk's paths: a worker draws one chunk at a time into a
+# private buffer of at most this size, so 128 rows fit on grids up to 2^12
+# steps, and a finer grid gets fewer rows instead of a buffer that grows
+# with it.
+_CHUNK_BYTES = 16 << 20
 _WORKERS = 2
 
 # Node stride of the lower bound of a path's planar gap to a curve that the
 # tube draw and tube_deviation take before the full sup.
 _TUBE_STRIDE = 8
 
-# One-byte tokens. From a worker: a chunk is reduced, or the worker failed and
-# its traceback follows. To a worker: the caller is done with a slot.
-_DRAWN, _FAILED, _FREED = b"+", b"!", b"-"
+# One-byte tokens from a worker: a chunk's values follow, or the worker failed
+# and its traceback follows.
+_DRAWN, _FAILED = b"+", b"!"
 
 
 def _strided_gap(planar: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -280,42 +279,44 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, tube=None) 
         np.cumsum(part, axis=1, out=part)
 
 
-def _reduce_chunk(rng, start, paths, s, tube, reduce, out) -> None:
-    """Draw trials start .. into paths and write reduce's values into out."""
+def _reduce_chunk(rng, start, paths, s, tube, reduce, width) -> np.ndarray:
+    """Draw trials start .. into paths; reduce's values as a new read-only
+    (nb, width) float array."""
     _draw_rows(rng, start, paths, s, tube)
     shown = paths.view()
     shown.flags.writeable = False
-    values = reduce(shown)
-    if np.shape(values) != out.shape:
-        raise ValueError(f"reduce gave shape {np.shape(values)} for {out.shape} values")
-    out[...] = values
+    values, shape = reduce(shown), (paths.shape[0], width)
+    if np.shape(values) != shape:
+        raise ValueError(f"reduce gave shape {np.shape(values)} for {shape} values")
+    values = np.array(values, dtype=np.float64)  # a copy: reduce may return a view of paths
+    values.flags.writeable = False
+    return values
 
 
-def _work(rng, starts, rows, n_trials, n, s, reduce, tube, slots, w, ends):
+def _work(rng, starts, rows, n_trials, n, s, reduce, width, tube, w, ends):
     """Body of worker w, forked by _trial_chunks: reduce chunks w, w + 2, ...
 
-    ends holds the four pipe ends of each worker (see _trial_chunks); this
-    one closes all but its own two. Chunk c is drawn into a private buffer,
-    allocated here after the fork, and its values go into slot c % 4 once
-    the caller has handed that slot back by a byte on free (its first two
-    slots start free); each is then a _DRAWN byte on ready. An error sends
-    _FAILED and its traceback. An end of file on free means the caller is
-    gone. Leaves only by os._exit, so nothing of the caller's (atexit hooks,
-    buffered output) runs twice.
+    ends holds the read and write end of each worker's pipe (see
+    _trial_chunks); this one closes all but its own write end. Chunk c is
+    drawn into a private buffer, allocated here after the fork, and its
+    values go down the pipe after a _DRAWN byte; the pipe's buffer bounds
+    how far the worker runs ahead. An error sends _FAILED and its traceback.
+    A broken pipe means the caller is gone. Leaves only by os._exit, so
+    nothing of the caller's (atexit hooks, buffered output) runs twice.
     """
     code = 0
-    ready, free = ends[4 * w + 1], ends[4 * w + 2]
+    ready = ends[2 * w + 1]
     try:
         for fd in ends:
-            if fd not in (ready, free):
+            if fd != ready:
                 os.close(fd)
         paths = np.empty((rows, n + 1, 2))
         for c in range(w, len(starts), _WORKERS):
-            if c >= _SLOTS and not os.read(free, 1):
-                break
             nb = min(rows, n_trials - starts[c])
-            _reduce_chunk(rng, starts[c], paths[:nb], s, tube, reduce, slots[c % _SLOTS, :nb])
-            os.write(ready, _DRAWN)
+            frame = memoryview(_DRAWN + _reduce_chunk(
+                rng, starts[c], paths[:nb], s, tube, reduce, width).tobytes())
+            while frame:
+                frame = frame[os.write(ready, frame):]
     except BaseException:
         code = 1
         try:
@@ -326,12 +327,23 @@ def _work(rng, starts, rows, n_trials, n, s, reduce, tube, slots, w, ends):
         os._exit(code)
 
 
-def _worker_error(ready: int, token: bytes, start: int) -> RuntimeError:
-    """The error a worker reported on ready after token, or its silent death."""
-    if token != _FAILED:
-        return RuntimeError(f"the worker drawing trials {start} on exited without a result")
-    text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
-    return RuntimeError(f"a trial worker failed:\n{text}")
+def _read_values(ready: int, nb: int, width: int, start: int) -> np.ndarray:
+    """The next chunk a worker sends on ready, as a new read-only (nb, width)
+    array. A RuntimeError carries the traceback the worker sent after
+    _FAILED, or reports its death if the pipe ends before a whole chunk."""
+    token = os.read(ready, 1)
+    if token == _FAILED:
+        text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
+        raise RuntimeError(f"a trial worker failed:\n{text}")
+    if token == _DRAWN:
+        values = np.empty((nb, width))
+        buf, got = memoryview(values).cast("B"), 0
+        while got < buf.nbytes and (k := os.readv(ready, [buf[got:]])):
+            got += k
+        if got == buf.nbytes:
+            values.flags.writeable = False
+            return values
+    raise RuntimeError(f"the worker drawing trials {start} on exited without a result")
 
 
 def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int,
@@ -341,72 +353,53 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     Row i of a chunk's paths, shape (nb, n+1, 2), holds trial start + i,
     drawn from rng.child(start + i), scaled by sqrt(h) and summed in order
     along the time axis, so the paths do not depend on the chunk size. A
-    chunk holds at most `chunk` rows and at most _CHUNK_BYTES // 4 bytes of
-    paths (at least one row). reduce(paths) gets each chunk's paths as a
-    read-only array and returns an (nb, width) float array of per-trial
-    values; the values are what is yielded, as (start, values) in trial
-    order, each a read-only view that stays valid until the next chunk is
-    requested: copy what must outlive that. reduce must be deterministic per
-    row, so the values do not depend on the chunk size either. tube =
+    chunk holds at most `chunk` rows and at most _CHUNK_BYTES bytes of paths
+    (at least one row). reduce(paths) gets each chunk's paths as a read-only
+    array and returns an (nb, width) float array of per-trial values; the
+    values are what is yielded, as (start, values) in trial order, each a
+    new read-only array of the caller's own. reduce must be deterministic
+    per row, so the values do not depend on the chunk size either. tube =
     (nodes, widest) draws the rows as _draw_rows says: a row whose strided
     gap to nodes passes widest on the first half of the grid is not drawn
     on, and its nodes after the split are +inf.
 
     Two worker processes, forked per call, draw and reduce the chunks:
     worker c % 2 draws chunk c into a private buffer, reduces it and writes
-    the values into slot c % 4 of one anonymous shared mmap of
-    4 x rows x width x 8 bytes, so each works up to two chunks ahead while
-    the caller only sums values; the caller maps no path memory. One-byte
-    pipe tokens hand each slot between a worker and the caller. Each worker
-    keeps only its own two pipe ends, so a worker whose caller dies sees an
-    end of file or a broken pipe and exits. A worker's error, reduce's
-    included, reaches the caller as a RuntimeError carrying the worker's
-    traceback. However the caller leaves (exhausted, closed early, an
-    exception), it SIGKILLs and reaps every worker. Where os.fork is
-    missing, the caller draws and reduces each chunk itself into reused
-    buffers.
+    a _DRAWN byte and the nb x width float64 values into its own pipe,
+    which the caller reads in trial order; the caller maps no path memory,
+    and the pipe's buffer bounds how far a worker runs ahead. Each worker
+    keeps only its own write end, so a worker whose caller dies gets a
+    broken pipe and exits. A worker's error, reduce's included, reaches the
+    caller as a RuntimeError carrying the worker's traceback. However the
+    caller leaves (exhausted, closed early, an exception), it SIGKILLs and
+    reaps every worker. Where os.fork is missing, the caller draws and
+    reduces each chunk itself into a reused buffer of paths.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = max(1, min(chunk, _CHUNK_BYTES // _SLOTS // ((n + 1) * 16)))
+    rows = max(1, min(chunk, _CHUNK_BYTES // ((n + 1) * 16)))
     starts = range(0, n_trials, rows)
     if not hasattr(os, "fork"):
-        paths, values = np.empty((rows, n + 1, 2)), np.empty((rows, width))
-        shown = values.view()
-        shown.flags.writeable = False
+        paths = np.empty((rows, n + 1, 2))
         for start in starts:
             nb = min(rows, n_trials - start)
-            _reduce_chunk(rng, start, paths[:nb], s, tube, reduce, values[:nb])
-            yield start, shown[:nb]
+            yield start, _reduce_chunk(rng, start, paths[:nb], s, tube, reduce, width)
         return
-    buf = mmap.mmap(-1, _SLOTS * rows * width * 8)
-    slots = np.frombuffer(buf).reshape(_SLOTS, rows, width)
-    shown = np.frombuffer(memoryview(buf).toreadonly()).reshape(slots.shape)
     ends, pids = [], []  # the pipe ends the caller holds, the workers' ids
     try:
         workers = min(_WORKERS, len(starts))
         for _ in range(workers):
-            ends += [*os.pipe(), *os.pipe()]  # ready: read, write; free: read, write
+            ends += os.pipe()  # read, write
         for w in range(workers):
             pid = os.fork()
             if pid == 0:
-                _work(rng, starts, rows, n_trials, n, s, reduce, tube, slots, w, ends)
+                _work(rng, starts, rows, n_trials, n, s, reduce, width, tube, w, ends)
             pids.append(pid)
-        for fd in ends[1::4] + ends[2::4]:
+        for fd in ends[1::2]:
             os.close(fd)
-        ready, free = ends[0::4], ends[3::4]
-        ends = ready + free
+        ends = ends[0::2]
         for c, start in enumerate(starts):
-            w = c % _WORKERS
-            token = os.read(ready[w], 1)
-            if token != _DRAWN:
-                raise _worker_error(ready[w], token, start)
-            yield start, shown[c % _SLOTS, :min(rows, n_trials - start)]
-            if c + _SLOTS < len(starts):
-                try:
-                    os.write(free[w], _FREED)
-                except BrokenPipeError:  # the worker failed; its error is read next
-                    pass
+            yield start, _read_values(ends[c % _WORKERS], min(rows, n_trials - start), width, start)
     finally:
         for fd in ends:
             os.close(fd)

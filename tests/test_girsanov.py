@@ -33,18 +33,15 @@ from heis.girsanov import (
 from heis.paths import TimeGrid, horizontality_defect
 from heis.results import binomial_stderr
 from heis.rng import RngSpec
-from heis.sde import DiffusionSample, _trial_chunks, hypoelliptic_bm, levy_area
+from heis.sde import DiffusionSample, _trial_values, hypoelliptic_bm, levy_area
 
 GRID = TimeGrid.uniform(256)
 
 
 def _paths(n, rng, grid=GRID):
     """Trials 0 .. n - 1 of rng, through a reduce that keeps whole paths."""
-    values = np.empty((n, 2 * (grid.n_steps + 1)))
-    for start, v in _trial_chunks(grid, rng, n, lambda p: p.reshape(p.shape[0], -1),
-                                  values.shape[1]):
-        values[start:start + v.shape[0]] = v
-    return values.reshape(n, -1, 2)
+    return _trial_values(grid, rng, n, lambda p: p.reshape(p.shape[0], -1),
+                         2 * (grid.n_steps + 1)).reshape(n, -1, 2)
 
 
 class TestReferenceCurve:

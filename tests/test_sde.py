@@ -189,9 +189,8 @@ def _chunks(grid, rng, n_trials, **kwargs):
 
 
 def _drawn(grid, rng, n_trials, **kwargs):
-    """(start, paths) of every chunk of _chunks, each copied before the next
-    one is requested, since a yielded chunk is valid only until then."""
-    return [(start, values.reshape(values.shape[0], -1, 2).copy())
+    """(start, paths) of every chunk of _chunks."""
+    return [(start, values.reshape(values.shape[0], -1, 2))
             for start, values in _chunks(grid, rng, n_trials, **kwargs)]
 
 
@@ -211,12 +210,14 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _shared_bytes(paths):
-    """Size of the buffer a yielded chunk is a view of."""
-    base = paths
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return base.nbytes
+@contextlib.contextmanager
+def _nothing_left():
+    """Around a scan: as many open fds after it as before, and no child."""
+    fds = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    before = len(os.listdir(fds))
+    yield
+    assert len(os.listdir(fds)) == before
+    _no_child_left()
 
 
 @pytest.mark.parametrize("n_steps", [1, 64, 1023, 1024, 4096])
@@ -287,7 +288,7 @@ def test_tube_draw_keeps_rows_bitwise_and_drops_only_rows_out_of_the_tube(n_step
 @pytest.mark.parametrize("chunk", [1, 7, 37, 256])
 def test_caller_assisted_chunks_match_per_trial_generators(chunk):
     """On a 1024-step grid, where the caller once drew blocks of the chunks
-    it waited for, and with enough chunks that every slot is reused, the
+    it waited for, and with enough chunks that each worker sends many, the
     rows are still the per-trial reference bit for bit."""
     grid = TimeGrid.uniform(1024)
     rng = RngSpec(29, 11)
@@ -320,18 +321,17 @@ def test_yielded_chunks_are_read_only():
 
 
 def test_closing_trial_chunks_early_leaves_no_worker():
-    chunks = _chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
-    next(chunks)
-    chunks.close()
-    _no_child_left()
+    with _nothing_left():
+        chunks = _chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
+        next(chunks)
+        chunks.close()
 
 
 def test_a_consumer_error_leaves_no_worker():
-    with pytest.raises(KeyError):
+    with _nothing_left(), pytest.raises(KeyError):
         for start, values in _chunks(GRID, RngSpec(3), 1000, chunk=7):
             if start > 20:
                 raise KeyError(start)
-    _no_child_left()
 
 
 def test_draw_error_reaches_the_caller(monkeypatch):
@@ -350,7 +350,7 @@ def test_draw_error_reaches_the_caller(monkeypatch):
 
 
 def test_a_worker_error_leaves_no_worker(monkeypatch):
-    """A late chunk fails while the other worker still has slots to fill."""
+    """A late chunk fails while the other worker still has chunks to send."""
     draw = sde._draw_rows
 
     def failing(rng, first, *args):
@@ -359,10 +359,40 @@ def test_a_worker_error_leaves_no_worker(monkeypatch):
         return draw(rng, first, *args)
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
-    with pytest.raises(RuntimeError, match="trial 70 failed"):
+    with _nothing_left(), pytest.raises(RuntimeError, match="trial 70 failed"):
         for _ in _chunks(GRID, RngSpec(3), 200, chunk=10):
             pass
-    _no_child_left()
+
+
+def test_a_worker_that_dies_is_an_error(monkeypatch):
+    """A worker that exits before sending its chunk, with no traceback."""
+    monkeypatch.setattr(sde, "_draw_rows", lambda *args: os._exit(3))
+    with _nothing_left(), pytest.raises(RuntimeError, match="trials 0 on exited without a result"):
+        list(_chunks(GRID, RngSpec(3), 20, chunk=10))
+
+
+def test_a_chunk_cut_short_is_an_error():
+    """A _DRAWN byte, half of a chunk's values and an end of file."""
+    r, w = os.pipe()
+    try:
+        os.write(w, sde._DRAWN + np.arange(6.0).tobytes()[:24])
+        os.close(w)
+        with pytest.raises(RuntimeError, match="trials 5 on exited without a result"):
+            sde._read_values(r, 3, 2, 5)
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["workers", "without-fork"])
+def test_yielded_chunks_outlive_the_next_request(fork):
+    """Chunk 0 is unchanged after a whole pass, which leaves no fd open."""
+    with _nothing_left(), contextlib.nullcontext() if fork else _without_fork():
+        chunks = _chunks(GRID, RngSpec(3), 1000, chunk=7)
+        first = next(chunks)[1]
+        kept = first.copy()
+        for _ in chunks:
+            pass
+    np.testing.assert_array_equal(first, kept)
 
 
 _KILLED_SCAN = """
@@ -418,37 +448,17 @@ def test_a_killed_scan_leaves_no_worker():
 
 
 def test_trial_chunks_stay_within_byte_budget():
-    """The four slots of the shared buffer, one being reduced and three
-    drawn ahead, fit the budget together."""
+    """A chunk's paths, drawn in a worker's private buffer, fit the budget."""
     grid = TimeGrid.uniform(2 ** 18)
     rng = RngSpec(4)
     rows = []
     for start, paths in _chunks(grid, rng, 20):
-        assert 4 * paths.nbytes <= _CHUNK_BYTES
-        assert _shared_bytes(paths) <= _CHUNK_BYTES
+        assert paths.nbytes <= _CHUNK_BYTES
         paths = paths.reshape(paths.shape[0], -1, 2)
         if start > 0:  # the first row of a later chunk is still trial `start`
             np.testing.assert_array_equal(paths[0], _per_trial_paths(grid, rng.child(start), 1)[0])
         rows.append(paths.shape[0])
     assert sum(rows) == 20 and len(rows) > 1
-
-
-@pytest.mark.parametrize("n_steps,chunk", [(64, 128), (64, 7), (4096, 128), (2 ** 14, 128)])
-def test_shared_buffer_does_not_grow_with_trials(n_steps, chunk):
-    """tracemalloc does not see the mmap that holds the slots, so this
-    checks its size: four slots of 3 values per row, whose rows depend on
-    the grid and chunk alone, not on the trials; no path is in it."""
-    grid, width = TimeGrid.uniform(n_steps), 3
-    sizes = set()
-    for n_trials in (1, 1024, 65536):
-        chunks = _trial_chunks(grid, RngSpec(5), n_trials,
-                               lambda paths: paths[:, -1, :1].repeat(width, axis=1), width,
-                               chunk=chunk)
-        sizes.add(_shared_bytes(next(chunks)[1]))
-        chunks.close()
-    rows = min(chunk, _CHUNK_BYTES // 4 // ((n_steps + 1) * 16))
-    assert sizes == {4 * rows * width * 8}
-    _no_child_left()
 
 
 def test_a_reduce_of_the_wrong_shape_is_an_error():
