@@ -25,7 +25,7 @@ def main():
     for frac in (0.25, 0.5, 1.0):
         i = round(frac * grid.n_steps)
         print(f"  t={frac:4}: B = ({s.planar[i, 0]:+.4f}, {s.planar[i, 1]:+.4f}), "
-              f"A = {s.area[i]:+.4f}")
+              f"A = {s.z[i]:+.4f}")
 
     print()
     print(f"law of A_1 from {args.trials} trials:")

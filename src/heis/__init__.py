@@ -36,9 +36,7 @@ from .rng import RngSpec
 from .sde import (
     LINEAR,
     SMOOTHSTEP,
-    DiffusionSample,
     Interpolant,
-    WongZakaiPath,
     area_increments,
     energy_divergence_experiment,
     hypoelliptic_bm,

@@ -275,7 +275,7 @@ def _simulate(cfg) -> ResultTable:
     grid = TimeGrid.uniform(round(1.0 / parse_fine_step(cfg["fine_step"])))
     sample = sde.hypoelliptic_bm(grid, RngSpec(cfg["seed"]))
     rows = [(t, x, y, z) for t, (x, y), z
-            in zip(sample.grid.times, sample.planar, sample.area)]
+            in zip(sample.grid.times, sample.planar, sample.z)]
     return ResultTable(["t", "x", "y", "z"], rows, {"n_steps": sample.grid.n_steps})
 
 

@@ -428,10 +428,10 @@ def _clock_values(planar: np.ndarray, area: np.ndarray, idx: np.ndarray, h: floa
 def time_change_diagnostics(samples, times) -> ResultTable:
     """Variance of A_t against the mean clock E tau(t), plus independence.
 
-    samples: iterable of DiffusionSample on a shared uniform grid, each one
-    trial or a batch of trials along a leading axis of planar and area. tau
-    is the quarter integral of |B|^2, evaluated by the trapezoid rule (exact
-    in mean for this integrand). Correlations are between A_t and the planar
+    samples: iterable of hypoelliptic_bm's SampledPaths, one trial each, on
+    a shared uniform grid; A is a sample's z. tau is the quarter integral of
+    |B|^2, evaluated by the trapezoid rule (exact in mean for this
+    integrand). Correlations are between A_t and the planar
     coordinates at the same time. A_t and B_t are uncorrelated but not
     independent (E[A_1^2 (B^1_1)^2] = 5/12, not 1/4), so the null scale of a
     correlation is sqrt(E[a^2 b^2] / (E[a^2] E[b^2]) / N) over the centred
@@ -446,7 +446,7 @@ def time_change_diagnostics(samples, times) -> ResultTable:
             idx = _node_indices(grid, times)
         elif sample.grid != grid:
             raise ValueError("samples live on different grids")
-        values.append(_clock_values(sample.planar, sample.area, idx, grid.step))
+        values.append(_clock_values(sample.planar, sample.z, idx, grid.step))
     return _clock_table(np.concatenate(values), times)
 
 

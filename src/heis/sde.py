@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .group import _AREA_BLOCK, _area_into, group_distance_array, omega, sq_norm
-from .paths import AnalyticBundle, HorizontalCurve, TimeGrid, horizontal_lift
+from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
 
@@ -71,21 +71,13 @@ def levy_area(planar: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DiffusionSample:
-    """One realization of g = (B, A) on a uniform grid.
+def hypoelliptic_bm(grid: TimeGrid, rng: RngSpec) -> SampledPath:
+    """One path of g = (B, A) at the grid nodes, as a "nodes" SampledPath.
 
-    planar and area may carry a leading batch axis of trials.
+    planar is sample_bm's path and z its levy_area.
     """
-
-    grid: TimeGrid
-    planar: np.ndarray
-    area: np.ndarray
-
-
-def hypoelliptic_bm(grid: TimeGrid, rng: RngSpec) -> DiffusionSample:
     planar = sample_bm(grid, rng)
-    return DiffusionSample(grid, planar, levy_area(planar))
+    return SampledPath(grid, planar, levy_area(planar), "nodes")
 
 
 @dataclass(frozen=True)
@@ -151,40 +143,29 @@ def _wz_fine(planar: np.ndarray, m: int, interpolant: Interpolant):
     return fine_planar, fine_area
 
 
-@dataclass(frozen=True)
-class WongZakaiPath:
-    """Horizontal smoothed approximation of a diffusion sample."""
-
-    coarse_step: float
-    interpolant: Interpolant
-    grid: TimeGrid
-    planar: np.ndarray
-    area: np.ndarray
-    horizontal: HorizontalCurve
-
-
-def wong_zakai(sample: DiffusionSample, delta: float, interpolant: Interpolant = LINEAR) -> WongZakaiPath:
+def wong_zakai(sample: SampledPath, delta: float, interpolant: Interpolant = LINEAR) -> HorizontalCurve:
     """Smoothed horizontal path: coarse-step interpolation of B plus the lift.
 
-    The returned object carries the fine-grid node values and a
-    HorizontalCurve realization whose horizontality defect is at roundoff
-    level.
+    planar and lifted_z are _wz_fine's node values, the path that
+    ws_convergence_experiment measures. A LINEAR smoothing is read
+    piecewise-linearly; any other interpolant carries the analytic bundle of
+    its pieces. Either way the horizontality defect is at roundoff level.
     """
-    m = _coarse_factor(sample.grid, delta)
+    grid = sample.grid
+    m = _coarse_factor(grid, delta)
     fine_planar, fine_area = _wz_fine(sample.planar, m, interpolant)
-    if interpolant is LINEAR:
-        horizontal = horizontal_lift(fine_planar, sample.grid)
-    else:
-        horizontal = _wz_horizontal_curve(
-            sample.grid, sample.planar[::m], delta, interpolant, fine_planar, fine_area
-        )
-    return WongZakaiPath(delta, interpolant, sample.grid, fine_planar, fine_area, horizontal)
+    slope = np.diff(fine_planar, axis=0) / np.diff(grid.times)[:, None]
+    bundle = None
+    if interpolant is not LINEAR:
+        bundle = _wz_bundle(grid, sample.planar[::m], delta, interpolant, fine_area)
+    return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
 
 
-def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_area):
+def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
+    """Closed-form pieces of a smoothing through the coarse nodes; z between
+    the grid nodes is read linearly from fine_area."""
     d = np.diff(coarse, axis=0)
     n_pieces = d.shape[0]
-    times = grid.times
 
     def _piece(t):
         t = np.asarray(t, dtype=float)
@@ -200,17 +181,12 @@ def _wz_horizontal_curve(grid, coarse, delta, interpolant, fine_planar, fine_are
         return np.expand_dims(interpolant.df(u), -1) * d[k] / delta
 
     def z_fn(t):
-        return np.interp(t, times, fine_area)
+        return np.interp(t, grid.times, fine_area)
 
     def dz_fn(t):
-        x = x_fn(t)
-        dx = dx_fn(t)
-        return 0.5 * omega(x, dx)
+        return 0.5 * omega(x_fn(t), dx_fn(t))
 
-    dt = np.diff(times)
-    slope = np.diff(fine_planar, axis=0) / dt[:, None]
-    bundle = AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn)
-    return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
+    return AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn)
 
 
 # Byte budget of one chunk's paths: a worker draws one chunk at a time into a

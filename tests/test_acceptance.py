@@ -117,7 +117,7 @@ def test_criterion_02_horizontality_by_construction():
         s = hypoelliptic_bm(fine, RngSpec(SEED, seed))
         for k in (2, 3, 4, 5):
             w = wong_zakai(s, 2.0 ** -k, LINEAR)
-            worst_wz = max(worst_wz, horizontality_defect(w.horizontal))
+            worst_wz = max(worst_wz, horizontality_defect(w))
     elapsed = time.perf_counter() - t0
     ok = worst_pl <= 1e-12 and worst_wz <= 1e-12
     _verdict(2, ok,
@@ -133,7 +133,7 @@ def test_criterion_03_ito_sum_identity():
         s = hypoelliptic_bm(grid, RngSpec(SEED, seed))
         w = wong_zakai(s, 2.0 ** -3, LINEAR)
         m = 512 // 8
-        gap = np.max(np.abs(w.area[::m] - levy_area(s.planar[::m])))
+        gap = np.max(np.abs(w.lifted_z[::m] - levy_area(s.planar[::m])))
         worst = max(worst, float(gap))
     elapsed = time.perf_counter() - t0
     _verdict(3, worst <= 1e-12,

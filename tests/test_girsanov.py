@@ -30,10 +30,10 @@ from heis.girsanov import (
     tube_deviation,
     tube_regime_ok,
 )
-from heis.paths import TimeGrid, horizontality_defect
+from heis.paths import SampledPath, TimeGrid, horizontality_defect
 from heis.results import binomial_stderr
 from heis.rng import RngSpec
-from heis.sde import DiffusionSample, _trial_values, hypoelliptic_bm, levy_area
+from heis.sde import _trial_values, hypoelliptic_bm, levy_area
 
 GRID = TimeGrid.uniform(256)
 
@@ -248,7 +248,7 @@ class TestTubeEstimates:
         for i in range(n):
             s = hypoelliptic_bm(grid, rng.child(i))
             dev[i] = tube_deviation(phi, s.planar, grid)
-            dist[i] = distance_to_curve(phi, s.planar, s.area, grid)
+            dist[i] = distance_to_curve(phi, s.planar, s.z, grid)
         assert np.any(dev >= max(deltas))  # some trials are rejected
         table = tube_decay_experiment(phi, eps, deltas, n, rng, grid.step)
         for (d, _, p, se, k, total, _), delta in zip(table.rows, deltas):
@@ -404,11 +404,8 @@ class TestTimeChange:
         grid, rng, times = TimeGrid.uniform(128), RngSpec(52), [0.25, 0.5, 1.0]
         paths = _paths(300, rng, grid)
         areas = levy_area(paths)
-        per_trial = [DiffusionSample(grid, p, a) for p, a in zip(paths, areas)]
-        batched = [DiffusionSample(grid, paths[:100], areas[:100]),
-                   DiffusionSample(grid, paths[100:], areas[100:])]
+        per_trial = [SampledPath(grid, p, a, "nodes") for p, a in zip(paths, areas)]
         table = time_change_diagnostics(per_trial, times)
-        assert time_change_diagnostics(batched, times).rows == table.rows
         assert dds_experiment(300, grid.step, times, rng).rows == table.rows
 
 
@@ -459,7 +456,7 @@ class TestSupport:
         dist = np.empty(n)
         for i in range(n):
             s = hypoelliptic_bm(grid, rng.child(i))
-            dist[i] = distance_to_curve(phi, s.planar, s.area, grid)
+            dist[i] = distance_to_curve(phi, s.planar, s.z, grid)
         hits = []
         for eps in (0.3, 0.6, 1.0, 1.5):
             hits.append(_support_row(phi, eps, n, rng, grid.step)["hits"])

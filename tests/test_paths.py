@@ -222,11 +222,12 @@ def test_csv_round_trip_is_exact():
     buf = io.StringIO()
     table.to_csv(buf)
     buf.seek(0)
-    q = read_path_csv(buf)
+    q = read_path_csv(buf, "nodes")
     s = hypoelliptic_bm(TimeGrid.uniform(64), RngSpec(21))
     np.testing.assert_array_equal(s.planar, q.planar)
-    np.testing.assert_array_equal(s.area, q.z)
+    np.testing.assert_array_equal(s.z, q.z)
     np.testing.assert_array_equal(s.grid.times, q.grid.times)
+    assert q.interpolation == s.interpolation == "nodes"
 
 
 def test_csv_rejects_bad_header():

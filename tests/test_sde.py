@@ -65,8 +65,8 @@ def test_bm_moments():
 def test_area_is_the_pl_lift():
     s = hypoelliptic_bm(GRID, RngSpec(5))
     lifted = horizontal_lift(s.planar, GRID)
-    np.testing.assert_array_equal(s.area, lifted.lifted_z)
-    assert s.area[0] == 0.0
+    np.testing.assert_array_equal(s.z, lifted.lifted_z)
+    assert s.z[0] == 0.0
 
 
 def test_levy_area_scaling_exact():
@@ -497,20 +497,20 @@ def test_wz_coarse_nodes_are_coarse_ito_sums(interp):
         w = wong_zakai(s, 2.0 ** -3, interp)
         m = 512 // 8
         np.testing.assert_array_equal(w.planar[::m], s.planar[::m])
-        np.testing.assert_array_equal(w.area[::m], levy_area(s.planar[::m]))
+        np.testing.assert_array_equal(w.lifted_z[::m], levy_area(s.planar[::m]))
 
 
 def test_wz_at_fine_step_is_identity():
     s = hypoelliptic_bm(GRID, RngSpec(8))
     w = wong_zakai(s, 1.0 / 256, LINEAR)
-    d = group_distance_array(w.planar, w.area, s.planar, s.area)
+    d = group_distance_array(w.planar, w.lifted_z, s.planar, s.z)
     assert float(np.max(d)) == 0.0
 
 
 def test_wz_linear_is_horizontal():
     s = hypoelliptic_bm(TimeGrid.uniform(1024), RngSpec(12))
     w = wong_zakai(s, 2.0 ** -4, LINEAR)
-    assert horizontality_defect(w.horizontal) <= 1e-10
+    assert horizontality_defect(w) <= 1e-10
 
 
 def test_wz_smoothstep_node_increments_exact():
@@ -518,8 +518,22 @@ def test_wz_smoothstep_node_increments_exact():
     # the node-to-node area increment is the exact lift integral
     s = hypoelliptic_bm(TimeGrid.uniform(1024), RngSpec(12))
     w = wong_zakai(s, 2.0 ** -4, SMOOTHSTEP)
-    gap = np.abs(np.diff(w.area) - area_increments(w.planar))
+    gap = np.abs(np.diff(w.lifted_z) - area_increments(w.planar))
     assert float(np.max(gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("interp", [LINEAR, SMOOTHSTEP], ids=["linear", "smoothstep"])
+def test_wz_is_the_path_ws_converge_measures(interp):
+    """wong_zakai's curve is, bit for bit, the smoothed path whose squared
+    sup distance to the diffusion ws_convergence_experiment averages."""
+    grid = TimeGrid.uniform(512)
+    for seed in range(3):
+        s = hypoelliptic_bm(grid, RngSpec(seed))
+        for delta in (2.0 ** -2, 2.0 ** -4):
+            w = wong_zakai(s, delta, interp)
+            dsq = float(np.max(group_distance_array(w.planar, w.lifted_z, s.planar, s.z))) ** 2
+            table = ws_convergence_experiment([delta], grid.step, 1, RngSpec(seed), interp)
+            assert dsq == table.column("estimate")[0]
 
 
 def test_wz_rejects_nonaligned_delta():
