@@ -40,7 +40,7 @@ def main():
     print()
     print("general slope (1, 1, 1), verbatim variant:")
     table = helix_convergence([8, 16, 32], a1=1.0, a2=1.0, a3=1.0,
-                              variant="verbatim", refine=0)
+                              variant="verbatim")
     for n, steps, d, nd in table.rows:
         print(f"  n={n:3d}: distance {d:.6f}, n * distance {nd:.4f}")
 

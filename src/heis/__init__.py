@@ -52,7 +52,6 @@ from .girsanov import (
     ShiftSamplerResult,
     dds_experiment,
     distance_to_curve,
-    exp_martingale,
     girsanov_ratio_experiment,
     girsanov_shift_sampler,
     ito_by_parts,

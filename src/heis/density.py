@@ -52,10 +52,9 @@ def _next_pow2(m: int) -> int:
     return 1 << max(0, (int(m) - 1)).bit_length()
 
 
-def helix_grid_steps(spec: HelixSpec, refine: int = 1) -> int:
+def helix_grid_steps(spec: HelixSpec) -> int:
     """Grid resolving the n^2 a3 oscillation: >= 64 n^2 per unit frequency."""
-    base = max(2 ** 14, 64 * spec.n ** 2 * max(1, math.ceil(abs(spec.a3))))
-    return _next_pow2(base) * int(refine)
+    return _next_pow2(max(2 ** 14, 64 * spec.n ** 2 * max(1, math.ceil(abs(spec.a3)))))
 
 
 def _helix_functions(a1, a2, a3, big_r, small_r, nu):
@@ -214,6 +213,8 @@ def helix_convergence(ns, a1=0.0, a2=0.0, a3=1.0, variant="identity",
     ladder. The same constant recomputed on a `refine`-times finer grid is
     reported in the metadata so rate claims can be checked for grid artifacts.
     """
+    if refine < 2:
+        raise ValueError(f"refine must be at least 2 (1 recomputes the same grid), got {refine}")
     rows = []
     scaled = []
     scaled_fine = []
@@ -221,7 +222,7 @@ def helix_convergence(ns, a1=0.0, a2=0.0, a3=1.0, variant="identity",
         spec = HelixSpec(a1, a2, a3, int(n), variant)
         steps = helix_grid_steps(spec)
         d = helix_distance(spec, steps)
-        d_fine = helix_distance(spec, steps * int(refine)) if refine else d
+        d_fine = helix_distance(spec, steps * int(refine))
         rows.append((int(n), steps, d, n * d))
         scaled.append(n * d)
         scaled_fine.append(n * d_fine)
@@ -234,7 +235,6 @@ def helix_convergence(ns, a1=0.0, a2=0.0, a3=1.0, variant="identity",
             "variant": variant,
             "fitted_C": max(scaled),
             "fitted_C_refined": max(scaled_fine),
-            "monotone": all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1)),
         },
     )
 

@@ -35,7 +35,7 @@ from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_a
 from .rng import RngSpec
 from .sde import _strided_gap, _trial_chunks, _trial_values, levy_area
 
-class ConsistencyError(AssertionError):
+class ConsistencyError(ValueError):
     """Left-point and by-parts discretizations disagreed beyond O(h)."""
 
 
@@ -147,17 +147,9 @@ def ito_by_parts(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.
     return end - corr
 
 
-def consistency_gap(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> float:
-    return float(np.max(np.abs(ito_left_sum(phi, planar, grid) - ito_by_parts(phi, planar, grid))))
-
-
-def exp_martingale(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """exp(-int <phi', dB> - int |phi'|^2 / 2), left-point Ito discretization."""
-    return _martingale_weight(phi, ito_left_sum(phi, planar, grid))
-
-
 def _martingale_weight(phi: ReferenceCurve, left: np.ndarray) -> np.ndarray:
-    """exp_martingale from the left-point sums left = ito_left_sum(...)."""
+    """exp(-int <phi', dB> - int |phi'|^2 / 2) from the left-point sums
+    left = ito_left_sum(...)."""
     return np.exp(-left - 0.5 * phi.planar_energy)
 
 
@@ -223,6 +215,8 @@ def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
     its deviation is +inf, so the counts are those of whole paths. Memory
     is that of a chunk, whatever n_trials.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     radii = np.asarray(deltas, dtype=float)
     widest = float(radii.max())
     accepted = np.zeros(radii.size, dtype=np.int64)
@@ -307,9 +301,6 @@ class ShiftSamplerResult:
     centered_dev: np.ndarray  # sup |B| per trial (tube event after shifting)
     seed: int
 
-    def mean_weight(self):
-        return mean_and_stderr(self.weights)
-
     def tube_probability(self, delta: float):
         """Estimate of P(sup |B - phi| < delta) by shift plus weight."""
         vals = self.weights * (self.centered_dev < delta)
@@ -367,7 +358,7 @@ def girsanov_ratio_experiment(
 
     values = _trial_values(grid, rng, n_trials, reduce, 3)
     weights, dev = values[:, 0], values[:, 1]
-    gap = float(np.max(values[:, 2], initial=0.0))  # consistency_gap over every trial
+    gap = float(np.max(values[:, 2], initial=0.0))
     tol = 10.0 * h * (1.0 + phi.dd_sup)
     if gap > tol:
         raise ConsistencyError(f"integration-by-parts gap {gap:.3e} exceeds {tol:.3e}")
@@ -403,6 +394,8 @@ def _node_indices(grid: TimeGrid, times) -> np.ndarray:
     """The grid node of each time; ValueError for a time that is not one."""
     idx = []
     for t in times:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"time {t} is outside [0, 1]")
         j = round(t / grid.step)
         if abs(j * grid.step - t) > 1e-12:
             raise ValueError(f"time {t} is not a grid node")

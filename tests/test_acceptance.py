@@ -18,8 +18,8 @@ from click.testing import CliRunner
 import conftest
 from heis.cli import EXPERIMENTS, _status
 from heis.cli import main as cli_main
-from heis.density import HelixSpec, helix_convergence, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
-from heis.girsanov import ReferenceCurve, girsanov_shift_sampler, tube_deviation
+from heis.density import HelixSpec, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
+from heis.girsanov import ReferenceCurve, girsanov_shift_sampler, tube_decay_experiment
 from heis.group import (
     group_distance_array,
     homogeneous_norm_array,
@@ -27,14 +27,7 @@ from heis.group import (
 )
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
-from heis.sde import (
-    LINEAR,
-    _trial_chunks,
-    hypoelliptic_bm,
-    levy_area,
-    wong_zakai,
-    ws_convergence_experiment,
-)
+from heis.sde import LINEAR, hypoelliptic_bm, levy_area, wong_zakai
 
 SEED = 1
 
@@ -150,19 +143,10 @@ def test_criterion_04_levy_area_law():
 
 def test_criterion_05_mean_square_convergence():
     t0 = time.perf_counter()
-    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
-    table = ws_convergence_experiment(deltas, 2.0 ** -12, 2000, RngSpec(SEED))
-    est = table.column("estimate")
-    se = table.column("stderr")
-    decreasing = bool(np.all(np.diff(est) < 0))
-    drops = all(est[i] - est[i + 1] > 3.0 * math.hypot(se[i], se[i + 1])
-                for i in range(len(est) - 1))
-    halved = est[-1] < 0.5 * est[0]
+    ok, detail = _cli_verdict("ws-converge", 2000, "2^-12", deltas="2^-2,2^-3,2^-4,2^-5",
+                              interpolant="linear")
     elapsed = time.perf_counter() - t0
-    _verdict(5, decreasing and drops and halved,
-             "E[d^2] " + ", ".join(f"{e:.4e}" for e in est)
-             + f"; strict drops > 3se: {drops}; finest < half coarsest: {halved}",
-             elapsed, 180.0)
+    _verdict(5, ok, detail, elapsed, 180.0)
 
 
 def test_criterion_06_energy_divergence():
@@ -219,13 +203,8 @@ def test_criterion_08_girsanov_suite():
 
     # shift-vs-rejection cross-check of the tube probability at delta = 1
     phi = ReferenceCurve.line(1.0, 0.0)
-    n = 50000
-    grid = TimeGrid.uniform(1024)
-    dev = np.empty(n)
-    for start, values in _trial_chunks(grid, RngSpec(SEED, 10 ** 6), n,
-                                       lambda paths: tube_deviation(phi, paths, grid)[:, None], 1):
-        dev[start:start + values.shape[0]] = values[:, 0]
-    k = int(np.sum(dev < 1.0))
+    (row,) = tube_decay_experiment(phi, 1.0, [1.0], 50000, RngSpec(SEED, 10 ** 6), 2.0 ** -10).rows
+    k, n = row[4], row[5]
     p_rej = k / n
     se_rej = math.sqrt(p_rej * (1.0 - p_rej) / n)
     shift = girsanov_shift_sampler(phi, n, RngSpec(SEED, 2 * 10 ** 6))
@@ -289,11 +268,13 @@ def test_criterion_10_support_positivity():
 
 def test_criterion_11_helix_convergence():
     t0 = time.perf_counter()
-    ns = [4, 8, 16, 32, 64]
-    vert = helix_convergence(ns, 0.0, 0.0, 1.0, "identity", refine=4)
-    c0, c1 = vert.meta["fitted_C"], vert.meta["fitted_C_refined"]
-    stable = abs(c1 - c0) <= 0.10 * c0
-    vert_ok = vert.meta["monotone"] and stable
+    parts = []
+    ok = True
+    for target in ("0,0,1", "1,1,1"):
+        passed, detail = _cli_verdict("helix", 1, "2^-10", n="4,8,16,32,64", target=target,
+                                      variant="identity", refine=4)
+        ok = ok and passed
+        parts.append(f"target ({target}): {detail}")
 
     spec = HelixSpec(0.0, 0.0, 1.0, 6, "verbatim")
     curve = helix_linear(spec)
@@ -301,15 +282,9 @@ def test_criterion_11_helix_convergence():
     qp, qz = quotient_nodes(curve.planar, curve.lifted_z, tp, tz)
     cp, cz = verbatim_quotient_nodes(spec, curve.grid.times)
     quot = max(float(np.max(np.abs(qp - cp))), float(np.max(np.abs(qz - cz))))
-
-    general = helix_convergence(ns, 1.0, 1.0, 1.0, "identity", refine=0)
     elapsed = time.perf_counter() - t0
-    ok = vert_ok and quot <= 1e-10 and general.meta["monotone"]
-    _verdict(11, ok,
-             f"vertical ladder monotone, C = {c0:.4f} (refined {c1:.4f}, "
-             f"within 10%); quotient formula gap {quot:.1e} <= 1e-10; "
-             f"target (1,1,1) monotone: {general.meta['monotone']}",
-             elapsed, 30.0)
+    _verdict(11, ok and quot <= 1e-10,
+             "; ".join(parts) + f"; quotient formula gap {quot:.1e} <= 1e-10", elapsed, 30.0)
 
 
 def test_criterion_12_determinism():

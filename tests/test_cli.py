@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heis import girsanov
+from heis.results import ResultTable, binomial_stderr
 from heis.cli import (
     EXPERIMENTS,
     ReferenceParseError,
@@ -213,7 +214,7 @@ class TestExperimentCommands:
         with runner.isolated_filesystem():
             hashes = []
             for seed, out in (("1", "a"), ("2", "b")):
-                res = runner.invoke(main, ["helix", "--n", "2", "--refine", "1",
+                res = runner.invoke(main, ["helix", "--n", "2", "--refine", "2",
                                            "--seed", seed, "--out", out])
                 assert res.exit_code == 0
                 hashes.append(json.loads(
@@ -296,6 +297,30 @@ class TestExitCodes:
         assert others and all(a["evaluated"] for a in others)
         assert summary["pass"] is False and summary["inconclusive"] is True
 
+    @pytest.mark.parametrize("deltas, statuses", [
+        ("2^-2", ("N/A", "N/A")),
+        ("2^-2,2^-3", ("PASS", "N/A")),
+        ("2^-2,2^-4", ("PASS", "PASS")),
+    ], ids=["one-level", "one-halving", "two-halvings"])
+    def test_ws_converge_checks_need_their_ladder(self, runner, deltas, statuses):
+        """Drops need two levels; the halving needs the finest step at most a
+        quarter of the coarsest. A check without its ladder passes as N/A."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["ws-converge", "--trials", "40", "--fine-step", "2^-8",
+                                       "--deltas", deltas, "--out", "r"])
+        assert res.exit_code == 0, res.output
+        for name, status in zip(("drops-beyond-3se", "finest-below-half-coarsest"), statuses):
+            assert f"[{status}] {name}: " in res.output
+
+    def test_flat_ladder_at_certainty_fails_the_drop(self):
+        """p_hat 1 on every level has stderr 0, and 1 < 1 - 0 is false."""
+        table = ResultTable(["delta", "epsilon", "p_hat", "stderr", "accepted", "total", "seed"],
+                            [(d, 0.9, 1.0, binomial_stderr(500, 500), 500, 1000, 1)
+                             for d in (0.9, 0.8, 0.7, 0.6)])
+        assertions, inconclusive = EXPERIMENTS["tube"].verdicts(table, {"min_accepted": 200})
+        (drop,) = [a for a in assertions if a["name"] == "last-below-first-3se"]
+        assert not inconclusive and drop["evaluated"] and not drop["passed"]
+
     def test_tube_underpowered_is_inconclusive_not_fail(self, runner):
         with runner.isolated_filesystem():
             res = runner.invoke(main, ["tube", "--phi", "line 1 0",
@@ -340,13 +365,19 @@ class TestBadInput:
         ["energy-diverge", "--wz-delta", "abc"],
         ["ws-converge", "--deltas", ""],
         ["dds-diagnostics", "--times", ""],
+        ["dds-diagnostics", "--times", "2"],
+        ["tube", "--epsilon", "-1"],
+        ["tube", "--epsilon", "nan"],
+        ["support", "--epsilon", "0"],
+        ["helix", "--refine", "1"],
+        ["girsanov-ratio", "--phi", "line 1e300 0"],  # Ito sums beyond O(h)
     ])
     def test_one_line_error_not_traceback(self, runner, argv):
         with runner.isolated_filesystem():
             res = runner.invoke(main, [*argv, "--trials", "10"])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith("Error: ")
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
 
     def test_out_of_memory_is_a_one_line_error(self, runner, monkeypatch):
         def exhausted(*args):

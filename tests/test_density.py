@@ -75,10 +75,16 @@ class TestConvergenceRate:
 
     def test_identity_vertical_rate_constant(self):
         table = helix_convergence([4, 8, 16], refine=2)
-        assert table.meta["monotone"]
+        assert np.all(np.diff(table.column("distance")) < 0)
         c = table.meta["fitted_C"]
         assert math.isclose(c, 4.0, rel_tol=5e-3)
         assert math.isclose(c, table.meta["fitted_C_refined"], rel_tol=1e-3)
+
+    @pytest.mark.parametrize("refine", [0, 1])
+    def test_refine_below_two_is_refused(self, refine):
+        """refine 1 recomputes the same grid, so its stability check is empty."""
+        with pytest.raises(ValueError, match="refine must be at least 2"):
+            helix_convergence([4], refine=refine)
 
     def test_general_target_converges(self):
         d8 = helix_distance(HelixSpec(1.0, 1.0, 1.0, 8))

@@ -15,10 +15,8 @@ from heis import girsanov, group
 from heis.girsanov import (
     ConsistencyError,
     ReferenceCurve,
-    consistency_gap,
     dds_experiment,
     distance_to_curve,
-    exp_martingale,
     girsanov_ratio_experiment,
     girsanov_shift_sampler,
     ito_by_parts,
@@ -87,20 +85,17 @@ class TestItoDiscretizations:
             left = ito_left_sum(phi, paths, GRID)
             parts = ito_by_parts(phi, paths, GRID)
             assert float(np.max(np.abs(left - parts))) <= 1e-12
-            assert consistency_gap(phi, paths, GRID) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(["line", "poly2"]),
            a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
            k=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
     def test_by_parts_agrees_with_left_sum_within_the_ratio_tolerance(self, kind, a, b, k, seed):
-        """The bound girsanov_ratio_experiment enforces, 10 h (1 + dd_sup),
-        holds on random curves and 2^-k grids."""
+        """The bound girsanov_ratio_experiment enforces on every trial,
+        10 h (1 + dd_sup), holds on random curves and 2^-k grids: the
+        experiment raises ConsistencyError beyond it."""
         phi = getattr(ReferenceCurve, kind)(a, b)
-        grid = TimeGrid.uniform(2 ** k)
-        paths = _paths(8, RngSpec(seed), grid)
-        gap = consistency_gap(phi, paths, grid)
-        assert gap <= 10.0 * grid.step * (1.0 + phi.dd_sup)
+        girsanov_ratio_experiment(phi, [1.0], 8, RngSpec(seed), 2.0 ** -k)
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["line", "poly2"]), lead=st.lists(st.integers(0, 5), max_size=2),
@@ -139,14 +134,13 @@ class TestItoDiscretizations:
         # B identical to phi(t) = (t, 0): the stochastic term is exactly 1
         phi = ReferenceCurve.line(1.0, 0.0)
         nodes = phi.planar_at(GRID.times)
-        val = float(exp_martingale(phi, nodes, GRID))
+        val = float(girsanov._martingale_weight(phi, ito_left_sum(phi, nodes, GRID)))
         assert math.isclose(val, math.exp(-1.5), rel_tol=1e-14)
 
     def test_martingale_mean_one(self):
-        phi = ReferenceCurve.line(1.0, 0.0)
-        w = exp_martingale(phi, _paths(4000, RngSpec(21)), GRID)
-        se = float(np.std(w, ddof=1) / math.sqrt(w.size))
-        assert abs(float(np.mean(w)) - 1.0) < 3 * se
+        meta = girsanov_ratio_experiment(ReferenceCurve.line(1.0, 0.0), [1.0], 4000,
+                                         RngSpec(21), GRID.step).meta
+        assert abs(meta["mean_weight"] - 1.0) < 3 * meta["mean_weight_stderr"]
 
     def test_shift_weight_mean_one(self):
         phi = ReferenceCurve.poly2(1.0, 0.5)
@@ -353,6 +347,16 @@ class TestTubeScan:
         np.testing.assert_array_equal(above, np.count_nonzero(acc & (dist > epsilon), axis=0))
 
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        """Tube and support share the scan, and both refuse such an epsilon."""
+        phi = ReferenceCurve.line(1.0, 0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            tube_decay_experiment(phi, epsilon, [0.9], 10, RngSpec(1), 2.0 ** -6)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            support_positivity(phi, epsilon, 10, RngSpec(1), 2.0 ** -6)
+
+
 class TestShiftSampler:
     def test_tube_probability_matches_rejection(self):
         phi = ReferenceCurve.line(1.0, 0.0)
@@ -397,8 +401,10 @@ class TestTimeChange:
             assert abs(c1) < 4 * c1_se and abs(c2) < 4 * c2_se
 
     def test_times_must_be_grid_nodes(self):
-        with pytest.raises(ValueError):
-            dds_experiment(10, 2.0 ** -7, [0.3], RngSpec(51))
+        """Off the grid, or a multiple of the step outside [0, 1]."""
+        for t in (0.3, 2.0, -0.25):
+            with pytest.raises(ValueError):
+                dds_experiment(10, 2.0 ** -7, [t], RngSpec(51))
 
     def test_batched_samples_give_the_per_trial_table(self):
         grid, rng, times = TimeGrid.uniform(128), RngSpec(52), [0.25, 0.5, 1.0]

@@ -53,7 +53,7 @@ GOLDEN = {
     "helix": (
         ["helix"],
         "db9bfb094ae00336a31076d7a3da37f7d65e6d366bd560b1a3c4b2b8fd00bcbd",
-        "a8e08227b9707b6b5a4a0a4956124947065e78a9e3498aa49f3084ede75f8764",
+        "0d6e4d79c92a1c69dce8016d461c5d5c84b84164a2a48e4d020c87be49ec5b56",
     ),
     "energy-diverge": (
         ["energy-diverge", "--trials", "128", "--seed", "5"],
@@ -64,13 +64,13 @@ GOLDEN = {
         ["ws-converge", "--trials", "200", "--fine-step", "2^-10",
          "--deltas", "2^-2,2^-3,2^-4", "--seed", "5"],
         "79e1dbc2a179919339bd4ba3d16b4a60d878694d9cfe839095c40b9c106a58bc",
-        "82a7bf00ec26569e4c0ef513b990125c46b8e38824c7f9cffc1d6d5e47a7b1bf",
+        "3c10f7f0b4bd865bfaa7c57a14fed9b692af98c9d4b2226851749525508c5cd3",
     ),
     "ws-converge-smoothstep": (
         ["ws-converge", "--trials", "100", "--fine-step", "2^-10", "--deltas", "2^-2,2^-4",
          "--interpolant", "smoothstep", "--seed", "6"],
         "f02d42437a155e9732545bde32ada51dd21223461b956329796af270298c1b17",
-        "9633317e2e6c0c14937d3c935e8b63ec1c2d99123ff1ce8d428286eba67f9edd",
+        "64e743f09d2cdaf059317be294dfd66c71372dd443c1532a1551cb54090a4261",
     ),
     "tube-escalating": (
         ["tube", "--phi", "line 1 0", "--fine-step", "2^-8", "--epsilon", "0.9",
