@@ -67,6 +67,8 @@ def parse_reference_curve(text: str) -> girsanov.ReferenceCurve:
             vals.append(float(tok))
         except ValueError:
             raise ReferenceParseError(f"expected a number, got {tok!r}", tpos) from None
+        if not math.isfinite(vals[-1]):
+            raise ReferenceParseError(f"expected a finite number, got {tok!r}", tpos)
     if kind == "zero":
         return girsanov.ReferenceCurve.zero()
     if kind == "line":
@@ -471,7 +473,7 @@ def _levy_law_verdicts(table, parameters):
     _, var, var_se, *_ = table.rows[0]
     cos_ok, parts = True, []
     for lam, est, se, *_ in table.rows[1:]:
-        tgt = 1.0 / math.cosh(lam / 2.0)
+        tgt = sde.cosine_target(lam)
         cos_ok = cos_ok and abs(est - tgt) <= 3.0 * se + 0.002
         parts.append(f"lambda={lam:g}: {est:.5f} vs {tgt:.5f}")
     return [
@@ -495,20 +497,23 @@ class Experiment:
     verdicts: Callable[[ResultTable, dict], tuple]
     # config fields the output does not depend on, left out of the hash
     unhashed: tuple = ()
+    # how to ask for less memory, named by the options that set the run's size
+    sizes: str = "fewer --trials or a coarser --fine-step"
 
 
 def _command(spec: Experiment):
     def command(config_file, out, fine_step, trials, seed, **overrides):
         cfg = resolve_config(spec.name, config_file, seed, trials, fine_step, overrides)
         started = time.perf_counter()
+        live = EXPERIMENTS[spec.name]  # looked up at call time, like _finish below
         try:
-            table = spec.run(cfg)
-            assertions, inconclusive = spec.verdicts(table, cfg["parameters"])
+            table = live.run(cfg)
+            assertions, inconclusive = live.verdicts(table, cfg["parameters"])
         except ValueError as exc:
             raise click.ClickException(str(exc))
         except MemoryError as exc:
             detail = f": {exc}" if str(exc) else ""
-            raise click.ClickException(f"out of memory, try fewer trials{detail}")
+            raise click.ClickException(f"out of memory, try {live.sizes}{detail}")
         # looked up at call time, so a wrapper bound to heis.cli._finish sees it
         _finish(out, spec.name, cfg, assertions, inconclusive, table.to_csv,
                 table.meta, started)
@@ -525,7 +530,8 @@ _EPSILON = click.option("--epsilon", type=float, default=None)
 EXPERIMENTS = {spec.name: spec for spec in (
     Experiment(
         "simulate", "Sample one hypoelliptic Brownian path and write its nodes.",
-        1, "2^-10", {}, (), _simulate, _simulate_verdicts, unhashed=("trials",)),
+        1, "2^-10", {}, (), _simulate, _simulate_verdicts, unhashed=("trials",),
+        sizes="a coarser --fine-step"),
     Experiment(
         "ws-converge", "Mean-square distance between g and its smoothed approximations.",
         2000, "2^-12", {"deltas": "2^-2,2^-3,2^-4,2^-5", "interpolant": "linear"},
@@ -538,7 +544,8 @@ EXPERIMENTS = {spec.name: spec for spec in (
         512, "2^-10", {"steps": "2^-6,2^-7,2^-8,2^-9,2^-10", "wz_delta": "2^-3"},
         (click.option("--steps", default=None, help="Evaluation steps, e.g. 2^-6,2^-7."),
          click.option("--wz-delta", "wz_delta", default=None, help="Smoothing step.")),
-        _energy_diverge, _energy_diverge_verdicts),
+        _energy_diverge, _energy_diverge_verdicts,
+        sizes="fewer --trials or coarser --steps and --fine-step"),
     Experiment(
         "tube", "Tube-conditioned exceedance of the group distance to a curve.",
         100000, "2^-10", {"phi": "line 1 0", "epsilon": 0.9, "deltas": "0.9,0.8,0.7,0.6",
@@ -549,7 +556,8 @@ EXPERIMENTS = {spec.name: spec for spec in (
          click.option("--deltas", default=None, help="Tube radii ladder."),
          click.option("--min-accepted", "min_accepted", type=int, default=None),
          click.option("--budget", type=int, default=None)),
-        _tube, _tube_verdicts),
+        _tube, _tube_verdicts,
+        sizes="fewer --trials, a lower --budget or a coarser --fine-step"),
     Experiment(
         "girsanov-ratio", "Tube-conditioned mean of the exponential martingale weight.",
         200000, "2^-10", {"phi": "line 1 0", "deltas": "1.0,0.8,0.7,0.6"},
@@ -571,7 +579,8 @@ EXPERIMENTS = {spec.name: spec for spec in (
                       type=click.Choice(["identity", "verbatim"])),
          click.option("--refine", type=int, default=None,
                       help="Grid refinement factor check, at least 2.")),
-        _helix, _helix_verdicts, unhashed=("seed", "trials", "fine_step")),
+        _helix, _helix_verdicts, unhashed=("seed", "trials", "fine_step"),
+        sizes="a smaller --n or --refine"),
     Experiment(
         "support", "Positive probability of landing epsilon-close to a reference lift.",
         100000, "2^-10", {"phi": "line 1 0", "epsilon": 1.0},

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import _AREA_BLOCK, group_distance_array, sq_norm
+from .group import _AREA_BLOCK, _HELD, _LEAF, _area_into, _scratch, group_distance_array, sq_norm
 from .paths import HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
@@ -108,8 +108,8 @@ def _increment_sums(coef: np.ndarray, planar: np.ndarray) -> np.ndarray:
     """sum_k <coef_k, B_{k+1} - B_k> per path of planar, shape (..., n+1, 2).
 
     Works through blocks of whole rows that fit in _AREA_BLOCK elements (at
-    least one row), in one reused scratch, so a batch takes its result plus
-    512 KB and no whole-batch temporaries. Each row's sum makes the
+    least one row), in pooled scratch (slot _LEAF), so a batch takes its
+    result and no whole-batch temporaries. Each row's sum makes the
     operations of np.sum(coef * np.diff(planar, axis=-2), axis=(-2, -1)) in
     the same order, so every value is bitwise the same.
     """
@@ -118,13 +118,13 @@ def _increment_sums(coef: np.ndarray, planar: np.ndarray) -> np.ndarray:
     flat = planar.reshape(-1, n1, 2)
     out = np.empty(flat.shape[0])
     rows = max(1, _AREA_BLOCK // (2 * n1))
-    scratch = np.empty(rows * (n1 - 1) * 2)
+    scratch = _scratch(_LEAF, (min(rows, flat.shape[0]), n1 - 1, 2))
     for r in range(0, flat.shape[0], rows):
         p = flat[r:r + rows]
-        d = scratch[:p.shape[0] * (n1 - 1) * 2].reshape(p.shape[0], n1 - 1, 2)
+        d = scratch[:p.shape[0]]
         np.subtract(p[:, 1:], p[:, :-1], out=d)
         np.multiply(coef, d, out=d)
-        out[r:r + rows] = np.sum(d, axis=(-2, -1))
+        np.sum(d, axis=(-2, -1), out=out[r:r + rows])
     return out.reshape(lead)[()]
 
 
@@ -403,26 +403,52 @@ def _node_indices(grid: TimeGrid, times) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def _clock_values(planar: np.ndarray, area: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
+def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
     """Per trial: A at the nodes idx, then tau there, then B^1, B^2 of each.
 
-    planar (..., n+1, 2) and area (..., n+1) hold m trials; the result has
-    shape (m, 4 len(idx)). tau is the quarter integral of |B|^2 by the
-    trapezoid rule.
+    planar (..., n+1, 2) holds m trials; the result has shape (m, 4 len(idx)).
+    A is the Levy area, tau the quarter integral of |B|^2 by the trapezoid
+    rule. One pass over blocks of whole rows, at most _AREA_BLOCK nodes and
+    at least one row: the area increments (_area_into) go into the real part
+    of one pooled complex block (slot _HELD), 0.5 * (|B_k|^2 + |B_{k+1}|^2)
+    * h into its imaginary part, and one in-place complex cumsum makes the
+    additions of the two real running sums in the same order. Node 0 gives
+    0. Every value is bitwise that of levy_area and the trapezoid cumsum.
     """
     planar = planar.reshape(-1, *planar.shape[-2:])
-    sq = sq_norm(planar)
-    cum = np.zeros(sq.shape)
-    np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * h, axis=-1, out=cum[:, 1:])
-    return np.concatenate([area.reshape(sq.shape)[:, idx], 0.25 * cum[:, idx],
-                           planar[:, idx].reshape(sq.shape[0], -1)], axis=1)
+    m, n1, _ = planar.shape
+    k = len(idx)
+    out = np.empty((m, 4 * k))
+    out[:, 2 * k:] = planar[:, idx].reshape(m, 2 * k)
+    rows = max(1, _AREA_BLOCK // n1)
+    for r in range(0, m, rows):
+        p = planar[r:r + rows]
+        block = _scratch(_HELD, (p.shape[0], n1), np.complex128)
+        area, clock = block.real, block.imag
+        # |B|^2 as sq_norm forms it, in the leaf slot before _area_into takes it
+        sq = _scratch(_LEAF, (p.shape[0], n1))
+        np.multiply(p[..., 0], p[..., 0], out=sq)
+        np.multiply(p[..., 1], p[..., 1], out=clock)
+        np.add(sq, clock, out=sq)
+        np.add(sq[:, :-1], sq[:, 1:], out=clock[:, 1:])
+        np.multiply(clock, 0.5, out=clock)
+        np.multiply(clock, h, out=clock)
+        block[:, 0] = 0.0
+        _area_into(p, area[:, 1:])
+        np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
+        o = out[r:r + rows]
+        o[:, :k] = area[:, idx]
+        np.multiply(clock[:, idx], 0.25, out=o[:, k:2 * k])
+    return out
 
 
 def time_change_diagnostics(samples, times) -> ResultTable:
     """Variance of A_t against the mean clock E tau(t), plus independence.
 
     samples: iterable of hypoelliptic_bm's SampledPaths, one trial each, on
-    a shared uniform grid; A is a sample's z. tau is the quarter integral of
+    a shared uniform grid. A is the Levy area of a sample's planar path,
+    formed by _clock_values as dds_experiment forms it; for hypoelliptic_bm's
+    samples that is bitwise their z. tau is the quarter integral of
     |B|^2, evaluated by the trapezoid rule (exact in mean for this
     integrand). Correlations are between A_t and the planar
     coordinates at the same time. A_t and B_t are uncorrelated but not
@@ -439,7 +465,7 @@ def time_change_diagnostics(samples, times) -> ResultTable:
             idx = _node_indices(grid, times)
         elif sample.grid != grid:
             raise ValueError("samples live on different grids")
-        values.append(_clock_values(sample.planar, sample.z, idx, grid.step))
+        values.append(_clock_values(sample.planar, idx, grid.step))
     return _clock_table(np.concatenate(values), times)
 
 
@@ -472,15 +498,16 @@ def _clock_table(values: np.ndarray, times) -> ResultTable:
 def dds_experiment(n_trials: int, fine_step: float, times, rng: RngSpec) -> ResultTable:
     """The time_change_diagnostics table of freshly simulated trials.
 
-    The trial workers reduce each path to its _clock_values, so the caller
-    holds 4 len(times) values per trial and no paths.
+    The trial workers reduce each path to its _clock_values, one pass over
+    pooled blocks, so the caller holds 4 len(times) values per trial and no
+    paths.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     times = [float(t) for t in times]
     idx = _node_indices(grid, times)
 
     def reduce(paths):
-        return _clock_values(paths, levy_area(paths), idx, grid.step)
+        return _clock_values(paths, idx, grid.step)
 
     table = _clock_table(_trial_values(grid, rng, n_trials, reduce, 4 * len(times)), times)
     table.meta.update({"seed": rng.seed, "fine_step": fine_step, "n_trials": n_trials})

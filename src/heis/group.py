@@ -7,9 +7,13 @@ form on the plane:
 
 Everything here is plain double precision. Scalar operations work on
 GroupElement values; the *_array helpers are the vectorized forms used by the
-path and simulation modules.
+path and simulation modules. The blocked kernels (_area_into here, and those
+of heis.sde and heis.girsanov built on it) take their scratch from one
+per-process pool, _scratch, so a trial worker reuses the same pages chunk
+after chunk instead of mapping fresh temporaries for each.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +30,34 @@ def omega(u, w):
     return u[..., 0] * w[..., 1] - w[..., 0] * u[..., 1]
 
 
-# Elements of one block of _area_into: its dx scratch is 512 KB (one row for
-# longer paths), so a batch's area takes its output plus this, not
-# whole-batch temporaries.
+# Elements of one block of the blocked kernels (_area_into, the Ito sums of
+# heis.girsanov, the dds clock): 512 KB of float64 (one row for longer
+# paths), so a batch takes its output plus pooled scratch, not whole-batch
+# temporaries.
 _AREA_BLOCK = 1 << 16
+
+# The blocked kernels' scratch, one buffer per slot, grown on demand and kept.
+# Like rng._POOL, each process that runs a kernel (the caller, or a forked
+# worker with its own copy) has its own, so chunk after chunk reuses the same
+# pages instead of mapping fresh ones. Slot _LEAF serves code that calls no
+# pooled kernel while it holds its view (_area_into, the Ito sums); slot
+# _HELD serves a caller that holds a block across such a call (the levy-law
+# increments, the dds clock). Views of one slot alias, views of different
+# slots never do.
+_SCRATCH = [np.empty(0), np.empty(0)]
+_LEAF, _HELD = 0, 1
+
+
+def _scratch(slot: int, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array over pooled scratch slot.
+
+    It stays valid until the next _scratch call for the same slot in the
+    same process, which may hand out the same memory.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if _SCRATCH[slot].nbytes < size:
+        _SCRATCH[slot] = np.empty(-(-size // 8))
+    return _SCRATCH[slot].view(np.uint8)[:size].view(dtype).reshape(shape)
 
 
 def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
@@ -38,20 +66,21 @@ def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
     The left-point area increments of piecewise-linear planar paths, the one
     implementation behind the Brownian Levy area and the horizontal lift.
     Works through blocks of whole rows, as many as fit in _AREA_BLOCK
-    elements and at least one: dy goes into out, dx into one reused scratch,
-    and x dy - dx y and the halving happen in place. These are the
-    operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so every
-    value is bitwise the same.
+    elements and at least one: dy goes into out, dx into pooled scratch
+    (slot _LEAF), and x dy - dx y and the halving happen in place. These are
+    the operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so
+    every value is bitwise the same. out may be any float64 view, such as the
+    real part of a complex array.
     """
     m, n = out.shape
     if m == 0 or n == 0:
         return
     rows = max(1, _AREA_BLOCK // n)
-    scratch = np.empty(rows * n)
+    scratch = _scratch(_LEAF, (min(rows, m), n))
     for r in range(0, m, rows):
         p = planar[r:r + rows]
         o = out[r:r + rows]
-        dx = scratch[:o.size].reshape(o.shape)
+        dx = scratch[:o.shape[0]]
         x, y = p[:, :-1, 0], p[:, :-1, 1]
         np.subtract(p[:, 1:, 1], y, out=o)
         np.subtract(p[:, 1:, 0], x, out=dx)

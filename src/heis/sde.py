@@ -16,6 +16,10 @@ Conventions fixed here and relied on by the tests:
     and send the caller only the values down a pipe; each yielded chunk is
     an array of the caller's own (the caller draws and reduces the chunks
     itself where os.fork is missing);
+  - the reduces' kernels (the area, the levy-law row sums, the Ito sums and
+    the dds clock of heis.girsanov) work through blocks of whole rows in
+    heis.group's per-process scratch pool, so a worker reuses the same
+    pages chunk after chunk;
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
@@ -28,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import _AREA_BLOCK, _area_into, group_distance_array, omega, sq_norm
+from .group import _AREA_BLOCK, _HELD, _area_into, _scratch, group_distance_array, omega, sq_norm
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
@@ -472,22 +476,36 @@ def energy_divergence_experiment(
     )
 
 
+def cosine_target(lam: float) -> float:
+    """E cos(lam A_1) = 1 / cosh(lam / 2); 0.0 where cosh overflows."""
+    try:
+        return 1.0 / math.cosh(lam / 2.0)
+    except OverflowError:
+        return 0.0
+
+
 def levy_area_law_experiment(
     fine_step: float, n_trials: int, lambdas, rng: RngSpec
 ) -> ResultTable:
     """Second moment and cosine moments of the time-1 Levy area.
 
-    Targets: Var A_1 = 1/4 and E cos(lambda A_1) = 1 / cosh(lambda / 2).
+    Targets: Var A_1 = 1/4 and E cos(lambda A_1) = cosine_target(lambda).
+    The trial workers reduce each path to A_1, a row sum of its area
+    increments, formed block by block in pooled scratch.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    rows = max(1, _AREA_BLOCK // grid.n_steps)
+    blocks = max(1, _AREA_BLOCK // grid.n_steps)
 
     def reduce(paths):
-        # Blocks of whole rows hold at most 512 KB of increments; a row's sum
-        # is the one over the whole chunk's increments, bit for bit.
+        # Blocks of whole rows form at most 512 KB of increments in pooled
+        # scratch; a row's sum is the one over the whole chunk's increments,
+        # bit for bit.
         a1 = np.empty((paths.shape[0], 1))
-        for r in range(0, paths.shape[0], rows):
-            a1[r:r + rows, 0] = np.sum(area_increments(paths[r:r + rows]), axis=-1)
+        for r in range(0, paths.shape[0], blocks):
+            p = paths[r:r + blocks]
+            inc = _scratch(_HELD, (p.shape[0], grid.n_steps))
+            _area_into(p, inc)
+            np.sum(inc, axis=-1, out=a1[r:r + blocks, 0])
         return a1
 
     a1 = _trial_values(grid, rng, n_trials, reduce, 1)[:, 0]
@@ -499,7 +517,7 @@ def levy_area_law_experiment(
     for lam in lambdas:
         lam = float(lam)
         est, se = mean_and_stderr(np.cos(lam * a1))
-        targets[f"cos_{lam:g}"] = 1.0 / math.cosh(lam / 2.0)
+        targets[f"cos_{lam:g}"] = cosine_target(lam)
         rows.append((lam, est, se, n_trials, fine_step, rng.seed))
     return ResultTable(
         ["delta", "estimate", "stderr", "n_trials", "fine_step", "seed"],

@@ -1,6 +1,8 @@
 """Harness behavior: config resolution, hashing, exit codes, reproducibility."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,13 @@ class TestParsers:
         with pytest.raises(ReferenceParseError) as exc:
             parse_reference_curve("line a 2")
         assert exc.value.position == 5
+
+    @pytest.mark.parametrize("text,position", [
+        ("line nan 0", 5), ("poly2 1 -inf", 8), ("line 1e999 0", 5), ("poly2 0 NaN", 8)])
+    def test_non_finite_number_position(self, text, position):
+        with pytest.raises(ReferenceParseError, match="expected a finite number") as exc:
+            parse_reference_curve(text)
+        assert exc.value.position == position
 
     def test_missing_arguments(self):
         with pytest.raises(ReferenceParseError):
@@ -230,6 +239,18 @@ class TestExperimentCommands:
             rows = Path("r/levy-law.csv").read_text().splitlines()
             assert rows[1].startswith("nan,")  # variance row marker
 
+    def test_levy_law_lambda_beyond_cosh_range(self, runner):
+        """cosh(lambda / 2) overflows a float for lambda above about 1420; the
+        target is then 0, and the run ends in a verdict."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["levy-law", "--lambdas", "1e308", "--trials", "50",
+                                       "--fine-step", "2^-6", "--out", "r"])
+            assert res.exit_code in (0, 1), res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert "lambda=1e+308: " in res.output and "vs 0.00000" in res.output
+            summary = json.loads(Path("r/levy-law.summary.json").read_text())
+            assert summary["meta"]["targets"]["cos_1e+308"] == 0.0
+
     def test_dds_small(self, runner):
         with runner.isolated_filesystem():
             res = runner.invoke(main, ["dds-diagnostics", "--trials", "2000",
@@ -388,7 +409,41 @@ class TestBadInput:
             res = runner.invoke(main, ["support", "--trials", "10", "--out", "r"])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert res.output == "Error: out of memory, try fewer trials\n"
+        assert res.output == "Error: out of memory, try fewer --trials or a coarser --fine-step\n"
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_out_of_memory_names_the_experiments_own_size_options(self, runner, monkeypatch,
+                                                                   name):
+        """helix has no trials: its hint names --n and --refine instead."""
+        def exhausted(cfg):
+            raise MemoryError
+
+        spec = EXPERIMENTS[name]
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(spec, run=exhausted))
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [name, "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: out of memory, try {spec.sizes}\n"
+        named = set(re.findall(r"--[a-z-]+", spec.sizes))
+        assert named <= {o for p in main.commands[name].params for o in p.opts}
+        assert ("--trials" in named) == (spec.trials > 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,token,position", [
+        (["tube", "--phi", "line nan 0"], "nan", 5),
+        (["support", "--phi", "poly2 inf 0"], "inf", 6),
+    ])
+    def test_non_finite_curve_coefficient_is_a_one_line_error(self, runner, argv, token,
+                                                             position):
+        """Not an INCONCLUSIVE table nor a RuntimeWarning from the scan."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [*argv, "--trials", "10", "--fine-step", "2^-6",
+                                       "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (f"Error: invalid --phi: expected a finite number, got "
+                              f"'{token}' (position {position})\n")
 
     def test_trials_beyond_memory_end_cleanly(self, runner):
         """levy-law keeps one float per trial: 10^14 trials ask for 800 TB,
@@ -398,7 +453,8 @@ class TestBadInput:
                                        "--out", "r"])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith("Error: out of memory, try fewer trials: ")
+        assert res.output.startswith(
+            "Error: out of memory, try fewer --trials or a coarser --fine-step: ")
         assert res.output.count("\n") == 1
 
     _TOKENS = st.sampled_from(["", " ", "0", "-1", "0.5", "2^-3", "2**-99999", "1e400",

@@ -1,6 +1,9 @@
 """Martingale weights, tube conditioning, time-change diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +34,8 @@ from heis.girsanov import (
 from heis.paths import SampledPath, TimeGrid, horizontality_defect
 from heis.results import binomial_stderr
 from heis.rng import RngSpec
-from heis.sde import _trial_values, hypoelliptic_bm, levy_area
+from heis.group import sq_norm
+from heis.sde import _trial_values, hypoelliptic_bm, levy_area, levy_area_law_experiment
 
 GRID = TimeGrid.uniform(256)
 
@@ -413,6 +417,111 @@ class TestTimeChange:
         per_trial = [SampledPath(grid, p, a, "nodes") for p, a in zip(paths, areas)]
         table = time_change_diagnostics(per_trial, times)
         assert dds_experiment(300, grid.step, times, rng).rows == table.rows
+
+    def test_diagnostics_read_the_area_of_the_planar_path(self):
+        """time_change_diagnostics forms A from each sample's planar path,
+        which for hypoelliptic_bm's samples is bitwise their z."""
+        grid, times = TimeGrid.uniform(64), [0.25, 0.5, 1.0]
+        samples = [hypoelliptic_bm(grid, RngSpec(53, i)) for i in range(50)]
+        zeroed = [SampledPath(grid, s.planar, np.zeros_like(s.z), "nodes") for s in samples]
+        assert time_change_diagnostics(zeroed, times).rows == \
+            time_change_diagnostics(samples, times).rows
+
+
+def _old_clock_values(planar, idx, h):
+    """The dds values as formed before the fused kernel: levy_area, and the
+    trapezoid rule's running sum over sq_norm."""
+    planar = planar.reshape(-1, *planar.shape[-2:])
+    area = levy_area(planar)
+    sq = sq_norm(planar)
+    cum = np.zeros(sq.shape)
+    np.cumsum(0.5 * (sq[:, :-1] + sq[:, 1:]) * h, axis=-1, out=cum[:, 1:])
+    return np.concatenate([area[:, idx], 0.25 * cum[:, idx],
+                           planar[:, idx].reshape(sq.shape[0], 2 * len(idx))], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(0, 40), step=st.integers(1, 2),
+       block=st.sampled_from([1, 7, 64, 301, group._AREA_BLOCK]),
+       inner=st.lists(st.integers(0, 300), max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_clock_is_bitwise_levy_area_and_the_trapezoid_cumsum(n, m, step, block, inner, seed):
+    """Any node count, row count, row stride and block size (n + 1 nodes
+    above and below it), at times that include 0 and 1: the one-pass kernel
+    gives the bytes of levy_area and the trapezoid cumsum."""
+    rng = np.random.default_rng(seed)
+    planar = np.cumsum(rng.standard_normal((m * step, n + 1, 2)), axis=1)[::step]
+    grid = TimeGrid.uniform(n)
+    idx = girsanov._node_indices(grid, [0.0, *(j % (n + 1) / n for j in inner), 1.0])
+    with mock.patch.object(group, "_AREA_BLOCK", block), \
+            mock.patch.object(girsanov, "_AREA_BLOCK", block):
+        new = girsanov._clock_values(planar, idx, grid.step)
+    old = _old_clock_values(planar, idx, grid.step)
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def test_pooled_scratch_reused_in_turns_gives_the_values_of_fresh_buffers(monkeypatch):
+    """Shape A, then a longer shape B that grows the pool, then A again on
+    B's leftovers: each kernel gives the bytes it gives on a fresh pool."""
+    gen = np.random.default_rng(33)
+    shapes = [(40, 1025), (2, 70001), (40, 1025)]
+    paths = [np.cumsum(gen.standard_normal((m, n1, 2)), axis=1) for m, n1 in shapes]
+    coefs = [gen.standard_normal((n1 - 1, 2)) for _, n1 in shapes]
+
+    def values(p, coef):
+        n = p.shape[1] - 1
+        return [levy_area(p), girsanov._clock_values(p, np.array([0, n // 3, n]), 1.0 / n),
+                girsanov._increment_sums(coef, p)]
+
+    fresh = []
+    for p, coef in zip(paths, coefs):
+        monkeypatch.setattr(group, "_SCRATCH", [np.empty(0), np.empty(0)])
+        fresh.append(values(p, coef))
+    monkeypatch.setattr(group, "_SCRATCH", [np.empty(0), np.empty(0)])
+    for (p, coef), want in zip(zip(paths, coefs), fresh):
+        assert [v.tobytes() for v in values(p, coef)] == [v.tobytes() for v in want]
+
+
+def test_scratch_slots_never_alias():
+    held = group._scratch(group._HELD, (300, 5), np.complex128)
+    leaf = group._scratch(group._LEAF, (70000,))
+    assert not np.shares_memory(held, leaf)
+    assert np.shares_memory(leaf, group._scratch(group._LEAF, (3, 4)))
+    assert held.flags.c_contiguous and held.dtype == np.complex128
+
+
+# Run in a fresh interpreter, as perfbench runs a command: how often a
+# temporary maps fresh pages depends on what the process allocated before.
+_FAULT_PROBE = """
+import resource, sys
+from heis.girsanov import dds_experiment
+from heis.rng import RngSpec
+from heis.sde import levy_area_law_experiment
+run = {
+    "dds": lambda n: dds_experiment(n, 2.0 ** -10, [0.25, 0.5, 1.0], RngSpec(90)),
+    "levy-law": lambda n: levy_area_law_experiment(2.0 ** -10, n, [1.0], RngSpec(91)),
+}[sys.argv[1]]
+def faults(n_trials):
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    run(n_trials)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+few, many = faults(4 * 128), faults(36 * 128)
+print((many - few) / 32)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of forked trial workers on Linux")
+@pytest.mark.parametrize("name", ["dds", "levy-law"])
+def test_forked_pass_faults_few_pages_per_chunk(name):
+    """The workers' minor page faults grow by under 100 per extra 128-row
+    chunk at 2^-10: their kernels reuse pooled scratch instead of mapping
+    fresh temporaries, which took about 1 000 (dds) and 450 (levy-law) a
+    chunk."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, name], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
 
 
 def _peak_traced_bytes(run, n):

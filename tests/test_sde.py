@@ -482,6 +482,30 @@ def test_blockwise_row_sums_equal_the_whole_chunk_sum(n):
     _assert_same_bytes(np.concatenate(blocks), np.sum(inc, axis=-1))
 
 
+def test_cosine_target_is_zero_where_cosh_overflows():
+    """Finite targets keep their bits; beyond cosh's range the target is 0."""
+    for lam in (0.5, 1.0, 2.0, -3.0, 1419.0):
+        assert sde.cosine_target(lam) == 1.0 / math.cosh(lam / 2.0)
+    for lam in (1421.0, -1e308, 1e308, math.inf):
+        assert sde.cosine_target(lam) == 0.0
+
+
+def test_levy_law_reduce_outlives_its_experiment(monkeypatch):
+    """The reduce keeps its own block count: called after the experiment
+    returns, it still gives each row's A_1."""
+    reduces = []
+    trial_values = sde._trial_values
+
+    def keep(grid, rng, n_trials, reduce, width):
+        reduces.append(reduce)
+        return trial_values(grid, rng, n_trials, reduce, width)
+
+    monkeypatch.setattr(sde, "_trial_values", keep)
+    levy_area_law_experiment(2.0 ** -6, 10, [1.0], RngSpec(7))
+    paths = np.cumsum(np.random.default_rng(7).standard_normal((5, 65, 2)), axis=1)
+    _assert_same_bytes(reduces[0](paths), np.sum(area_increments(paths), axis=-1)[:, None])
+
+
 def test_interpolant_validation():
     with pytest.raises(ValueError):
         Interpolant("bad", lambda u: 2 * np.asarray(u), lambda u: np.full_like(u, 2.0))

@@ -16,9 +16,10 @@ the same seed; pair k of a workload uses seed --seed + k, and the seeds go
 on across workloads. Each run records its
 end-to-end metrics (the names, units and directions of BENCHMARK.json), its
 operation counts, the host's steal share over the run, read from the
-aggregate cpu line of /proc/stat, and its CPU seconds: the user plus system
+aggregate cpu line of /proc/stat, its CPU seconds: the user plus system
 time of every process the run started and reaped (its operations, their
-trial workers and the calibrations), from getrusage(RUSAGE_CHILDREN). The output keeps BENCH_6.json's layout:
+trial workers and the calibrations), and the minor page faults of those
+processes, both from getrusage(RUSAGE_CHILDREN). The output keeps BENCH_6.json's layout:
 per workload the runs of each side, their median and quartiles, the pairs the
 change won, the median change and the median gap over the parent's
 interquartile range. A run that exits non-zero is recorded with its exit
@@ -92,30 +93,32 @@ def copy_worktree(dest):
             shutil.copy2(source, target)
 
 
-def children_cpu_s():
-    """User plus system seconds of every reaped descendant so far."""
+def children_usage():
+    """User plus system seconds, and minor page faults, of every reaped
+    descendant so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 def run_once(checkout, workload, seed, seconds):
     """One perfbench run: its JSON result line (None if it crashed), the steal
-    share over it, its CPU seconds and, for a crash, its exit code and stderr
-    tail."""
-    before, cpu_before = host_jiffies(), children_cpu_s()
+    share over it, its CPU seconds, its minor page faults and, for a crash,
+    its exit code and stderr tail."""
+    before, (cpu_before, faults_before) = host_jiffies(), children_usage()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    after, cpu = host_jiffies(), round(children_cpu_s() - cpu_before, 3)
+    after, (cpu, faults) = host_jiffies(), children_usage()
+    cpu, faults = round(cpu - cpu_before, 3), faults - faults_before
     steal = None
     if before and after and after[1] > before[1]:
         steal = round((after[0] - before[0]) / (after[1] - before[1]), 4)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return None, steal, cpu, {"seed": seed, "returncode": proc.returncode,
-                                  "stderr_tail": proc.stderr[-2000:]}
-    return json.loads(lines[-1]), steal, cpu, None
+        return None, steal, cpu, faults, {"seed": seed, "returncode": proc.returncode,
+                                          "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(lines[-1]), steal, cpu, faults, None
 
 
 def summarize(values):
@@ -147,16 +150,18 @@ def bench_set(sides, workload, seeds, seconds, specs):
     runs = {"parent": [], "change": []}
     steal = {"parent": [], "change": []}
     cpu = {"parent": [], "change": []}
+    minflt = {"parent": [], "change": []}
     crashed = {"parent": [], "change": []}
     first = []
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
-            result, share, cpu_s, crash = run_once(sides[side], workload, seed, seconds)
+            result, share, cpu_s, faults, crash = run_once(sides[side], workload, seed, seconds)
             runs[side].append(result)
             steal[side].append(share)
             cpu[side].append(cpu_s)
+            minflt[side].append(faults)
             if crash:
                 crashed[side].append(crash)
                 print(f"{workload} seed {seed} {side}: exit {crash['returncode']}",
@@ -191,6 +196,9 @@ def bench_set(sides, workload, seeds, seconds, specs):
         "cpu_s": cpu,
         "cpu_s_per_op": {s: [round(c / r["attempted"], 3) if r and r["attempted"] else None
                              for c, r in zip(cpu[s], runs[s])] for s in cpu},
+        "minflt": minflt,
+        "minflt_per_op": {s: [round(f / r["attempted"]) if r and r["attempted"] else None
+                              for f, r in zip(minflt[s], runs[s])] for s in minflt},
         "metrics": metrics,
     }
 
@@ -232,7 +240,8 @@ def main():
                   "system seconds of the processes each run started and reaped, operations, "
                   "trial workers and calibrations included (getrusage RUSAGE_CHILDREN); it "
                   "grows with the operations that fit the run, so cpu_s_per_op divides it "
-                  "by attempted_ops",
+                  "by attempted_ops; minflt is the minor page faults of the same processes "
+                  "(ru_minflt of RUSAGE_CHILDREN), and minflt_per_op divides it likewise",
         "machine": {"nproc": os.cpu_count(), "cpu": cpu_name(), **versions()},
     }
     if args.claim:
