@@ -69,6 +69,10 @@ def parse_reference_curve(text: str) -> girsanov.ReferenceCurve:
             raise ReferenceParseError(f"expected a number, got {tok!r}", tpos) from None
         if not math.isfinite(vals[-1]):
             raise ReferenceParseError(f"expected a finite number, got {tok!r}", tpos)
+        # the scans form fourth powers of a path's gap to the curve, which
+        # overflow for coefficients near 1e77; 1e6 leaves a wide margin
+        if abs(vals[-1]) > 1e6:
+            raise ReferenceParseError(f"expected a magnitude of at most 1e6, got {tok!r}", tpos)
     if kind == "zero":
         return girsanov.ReferenceCurve.zero()
     if kind == "line":
@@ -434,8 +438,17 @@ def _dds_verdicts(table, parameters):
 def _helix(cfg) -> ResultTable:
     p = cfg["parameters"]
     ns = parse_int_list(p["n"])
-    a1, a2, a3 = (float(v) for v in str(p["target"]).split(","))
-    return density.helix_convergence(ns, a1, a2, a3, p["variant"], int(p["refine"]))
+    try:
+        target = [float(v) for v in str(p["target"]).split(",")]
+    except ValueError:
+        target = []
+    if len(target) != 3 or not all(map(math.isfinite, target)):
+        raise ValueError(f"invalid --target: expected three finite numbers, got {p['target']!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return density.helix_convergence(ns, *target, p["variant"], int(p["refine"]))
+    except FloatingPointError as exc:
+        raise ValueError(f"invalid --target: the helix to {p['target']!r} overflows ({exc})")
 
 
 def _helix_verdicts(table, parameters):
@@ -580,7 +593,7 @@ EXPERIMENTS = {spec.name: spec for spec in (
          click.option("--refine", type=int, default=None,
                       help="Grid refinement factor check, at least 2.")),
         _helix, _helix_verdicts, unhashed=("seed", "trials", "fine_step"),
-        sizes="a smaller --n or --refine"),
+        sizes="a smaller --n, --refine or |a3| of --target"),
     Experiment(
         "support", "Positive probability of landing epsilon-close to a reference lift.",
         100000, "2^-10", {"phi": "line 1 0", "epsilon": 1.0},

@@ -29,11 +29,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import _AREA_BLOCK, _HELD, _LEAF, _area_into, _scratch, group_distance_array, sq_norm
+from . import group
+from .group import _HELD, _LEAF, _area_into, _scratch, group_distance_array, sq_norm
 from .paths import HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
-from .sde import _strided_gap, _trial_chunks, _trial_values, levy_area
+from .sde import _trial_chunks, _trial_values, levy_area
 
 class ConsistencyError(ValueError):
     """Left-point and by-parts discretizations disagreed beyond O(h)."""
@@ -117,7 +118,7 @@ def _increment_sums(coef: np.ndarray, planar: np.ndarray) -> np.ndarray:
     *lead, n1, _ = planar.shape
     flat = planar.reshape(-1, n1, 2)
     out = np.empty(flat.shape[0])
-    rows = max(1, _AREA_BLOCK // (2 * n1))
+    rows = max(1, group._AREA_BLOCK // (2 * n1))
     scratch = _scratch(_LEAF, (min(rows, flat.shape[0]), n1 - 1, 2))
     for r in range(0, flat.shape[0], rows):
         p = flat[r:r + rows]
@@ -165,13 +166,24 @@ def shift_weight(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.
     return np.exp(-stoch - 0.5 * quad)
 
 
+# Node stride of the lower bound of a path's planar gap to a curve that
+# _tube_scan's draw and tube_deviation take before the full sup.
+_TUBE_STRIDE = 8
+
+
+def _strided_gap(planar: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Per row of planar, (m, k, 2), its largest gap to nodes, (k, 2), over
+    every _TUBE_STRIDE-th node: a lower bound of the sup over all k."""
+    return np.sqrt(np.max(sq_norm(planar[:, ::_TUBE_STRIDE] - nodes[::_TUBE_STRIDE]), axis=-1))
+
+
 def tube_deviation(
     phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid, cap: Optional[float] = None
 ) -> np.ndarray:
     """sup over nodes of |B_t - phi(t)| in the plane.
 
-    With a cap, a path's largest gap over every 8th node (_strided_gap) is
-    taken first. It is a lower bound of the sup, and a path
+    With a cap, a path's largest gap over every _TUBE_STRIDE-th node
+    (_strided_gap) is taken first. It is a lower bound of the sup, and a path
     whose bound is at least cap gets that bound instead of its sup. Every
     returned value below cap is therefore the exact sup, and every other one
     is at least cap: a caller that compares the result with radii no wider
@@ -206,14 +218,13 @@ def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
     Returns three integer arrays, one entry per radius in deltas: accepted
     (trials with deviation < delta), and among those below (distance <
     epsilon) and above (distance > epsilon); a trial at exactly epsilon is
-    in neither. The trial workers reduce each path to its deviation, capped
-    at the widest radius so it is exact for every trial that some level can
-    accept, and its distance, formed only inside the widest tube (+inf
-    elsewhere); the caller only counts. The trials are drawn with
-    tube=(nodes of phi, widest): a path whose strided gap to phi reaches
-    the widest radius on the first half of the grid is not drawn on, and
-    its deviation is +inf, so the counts are those of whole paths. Memory
-    is that of a chunk, whatever n_trials.
+    in neither. A path whose strided gap to phi on the first half of the
+    grid reaches the widest radius has a sup that does too: the trial
+    source's keep drops it, so it is not drawn on, not reduced, and its
+    values are +inf. The workers reduce every other path to its deviation,
+    capped at the widest radius (exact below it), and its distance, formed
+    only inside the widest tube (+inf elsewhere); the caller only counts,
+    so the counts are those of whole paths, in the memory of a chunk.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -231,8 +242,9 @@ def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
         out[inside, 1] = distance_to_curve(phi, sub, levy_area(sub), grid)
         return out
 
-    tube = (phi.planar_at(grid.times), widest)
-    for _, values in _trial_chunks(grid, rng, n_trials, reduce, 2, tube=tube):
+    nodes = phi.planar_at(grid.times)
+    for _, values in _trial_chunks(grid, rng, n_trials, reduce, 2,
+                                   keep=lambda p: _strided_gap(p, nodes[:p.shape[1]]) < widest):
         acc = values[:, :1] < radii
         dist = values[:, 1:]
         accepted += np.count_nonzero(acc, axis=0)
@@ -367,10 +379,7 @@ def girsanov_ratio_experiment(
     for d in deltas:
         acc = dev < float(d)
         k = int(np.sum(acc))
-        if k == 0:
-            rows.append((float(d), float("nan"), float("nan"), 0, n_trials, target, rng.seed))
-            continue
-        est, se = mean_and_stderr(weights[acc]) if k > 1 else (float(weights[acc][0]), float("nan"))
+        est, se = mean_and_stderr(weights[acc]) if k else (float("nan"), float("nan"))
         rows.append((float(d), est, se, k, n_trials, target, rng.seed))
     mean_w, mean_w_se = mean_and_stderr(weights)
     return ResultTable(
@@ -420,7 +429,7 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
     k = len(idx)
     out = np.empty((m, 4 * k))
     out[:, 2 * k:] = planar[:, idx].reshape(m, 2 * k)
-    rows = max(1, _AREA_BLOCK // n1)
+    rows = max(1, group._AREA_BLOCK // n1)
     for r in range(0, m, rows):
         p = planar[r:r + rows]
         block = _scratch(_HELD, (p.shape[0], n1), np.complex128)

@@ -33,7 +33,7 @@ def omega(u, w):
 # Elements of one block of the blocked kernels (_area_into, the Ito sums of
 # heis.girsanov, the dds clock): 512 KB of float64 (one row for longer
 # paths), so a batch takes its output plus pooled scratch, not whole-batch
-# temporaries.
+# temporaries. Every kernel reads it from this module when it runs.
 _AREA_BLOCK = 1 << 16
 
 # The blocked kernels' scratch, one buffer per slot, grown on demand and kept.

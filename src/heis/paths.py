@@ -62,7 +62,11 @@ class TimeGrid:
     def uniform(cls, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        return cls(np.linspace(0.0, 1.0, n_steps + 1))
+        try:
+            times = np.linspace(0.0, 1.0, n_steps + 1)
+        except ValueError as exc:  # more nodes than numpy can index
+            raise MemoryError(str(exc)) from None
+        return cls(times)
 
     @property
     def n_steps(self) -> int:

@@ -10,12 +10,10 @@ Conventions fixed here and relied on by the tests:
   - stochastic integrals use left-point sums on the fine grid;
   - trial i of any experiment draws from rng.child(i), so estimates depend
     neither on the chunk size nor on which process draws a trial, or when;
-  - _trial_chunks is the one trial source, and it yields per-trial values,
-    not paths: an experiment passes a reduce(paths) -> (nb, width) array,
-    and two forked worker processes each draw a chunk of paths, reduce it
-    and send the caller only the values down a pipe; each yielded chunk is
-    an array of the caller's own (the caller draws and reduces the chunks
-    itself where os.fork is missing);
+  - _trial_chunks is the one trial source: forked workers draw chunks of
+    paths, reduce them with the experiment's reduce and send the caller
+    only the per-trial values; an experiment's keep may drop rows halfway,
+    and the source knows nothing of what keep tests;
   - the reduces' kernels (the area, the levy-law row sums, the Ito sums and
     the dds clock of heis.girsanov) work through blocks of whole rows in
     heis.group's per-process scratch pool, so a worker reuses the same
@@ -32,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .group import _AREA_BLOCK, _HELD, _area_into, _scratch, group_distance_array, omega, sq_norm
+from . import group
+from .group import _HELD, _area_into, _scratch, group_distance_array, omega
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
@@ -107,6 +106,8 @@ SMOOTHSTEP = Interpolant(
 
 def _coarse_factor(grid: TimeGrid, delta: float) -> int:
     h = grid.step
+    if not delta <= 1.0:
+        raise ValueError(f"delta {delta} is beyond the unit interval")
     m = round(delta / h)
     if m < 1 or m * h != delta:
         raise ValueError(f"delta {delta} is not a multiple of the fine step {h}")
@@ -194,32 +195,21 @@ def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
 
 
 # Byte budget of one chunk's paths: a worker draws one chunk at a time into a
-# private buffer of at most this size, so 128 rows fit on grids up to 2^12
-# steps, and a finer grid gets fewer rows instead of a buffer that grows
+# private buffer of at most this size, so _CHUNK_ROWS rows fit on grids up to
+# 2^12 steps, and a finer grid gets fewer rows instead of a buffer that grows
 # with it.
 _CHUNK_BYTES = 16 << 20
+_CHUNK_ROWS = 128
 _WORKERS = 2
-
-# Node stride of the lower bound of a path's planar gap to a curve that the
-# tube draw and tube_deviation take before the full sup.
-_TUBE_STRIDE = 8
 
 # One-byte tokens from a worker: a chunk's values follow, or the worker failed
 # and its traceback follows.
 _DRAWN, _FAILED = b"+", b"!"
 
 
-def _strided_gap(planar: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Largest |B - phi| over every _TUBE_STRIDE-th node, per row.
-
-    planar has shape (m, k, 2) and nodes (k, 2). A lower bound of the sup
-    over all k nodes.
-    """
-    return np.sqrt(np.max(sq_norm(planar[:, ::_TUBE_STRIDE] - nodes[::_TUBE_STRIDE]), axis=-1))
-
-
-def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, tube=None) -> None:
-    """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1.
+def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) -> np.ndarray:
+    """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1;
+    return the offsets of the k rows drawn whole, now in rows[:k].
 
     Each path starts at 0 and sums its normals, scaled by s, in order. Runs
     in the worker processes of _trial_chunks (on the caller where os.fork is
@@ -227,62 +217,43 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, tube=None) 
     re-keyed generators and calls only RngSpec.child and child_generators,
     so a worker touches nothing but numpy's generators and its buffers.
 
-    With tube = (nodes, widest), nodes being a curve at the n + 1 grid
-    nodes, each row is drawn in two parts. First every row up to the split
-    node, the largest multiple of _TUBE_STRIDE not above n/2. A row whose
-    _strided_gap to nodes up to the split, tube_deviation's strided bound on
-    those nodes, is at least widest has a sup at least widest: every node
-    after the split is set to +inf, so tube_deviation with a cap of widest
-    gives it a value of at least that cap. Only the other rows are drawn on,
-    each from its own generator where the first part stopped, so each kept
-    row is bitwise its whole-row draw. A split of 0 draws whole rows.
+    With keep, every row is drawn up to the split node n // 2 (0 for one
+    step: whole rows), and keep(prefix), on those nodes as a read-only
+    array, says which rows go on. Those move to the front and go on from
+    where their generators stopped, each bitwise its whole-row draw; the
+    others are not drawn on, scaled or summed.
     """
     n = rows.shape[1] - 1
-    split = n // 2 // _TUBE_STRIDE * _TUBE_STRIDE if tube is not None else 0
+    split = n // 2 if keep is not None else 0
     generators = child_generators(rng.child(first), rows.shape[0])
-    drawn = range(rows.shape[0])
+    kept = np.arange(rows.shape[0])
     rows[:, 0] = 0.0
-    # Read as one complex number per node, the running sum makes the same
-    # additions in the same order, in about half the time of the real one.
-    walk = rows.view(np.complex128)[:, :, 0]
     for lo, hi in ((0, split), (split, n)) if split else ((0, n),):
         if lo:
-            nodes, widest = tube
-            left = _strided_gap(rows[:, :lo + 1], nodes[:lo + 1]) >= widest
-            rows[left, lo + 1:] = np.inf
-            drawn = np.flatnonzero(~left)
-        for i in drawn:
-            generators[i].standard_normal(out=rows[i, lo + 1:hi + 1])
+            prefix = rows[:, :lo + 1]
+            prefix.flags.writeable = False
+            kept = np.flatnonzero(keep(prefix))
+            rows = rows[:kept.size]
+            rows[:, :lo + 1] = prefix[kept]
+        for i, row in zip(kept.tolist(), rows):
+            generators[i].standard_normal(out=row[lo + 1:hi + 1])
         rows[:, lo + 1:hi + 1] *= s
-        # node lo holds its sum already (node 0 holds 0 and is left out)
-        part = walk[:, max(lo, 1):hi + 1]
+        # Read as one complex number per node, the running sum makes the same
+        # additions in the same order, in about half the time of the real one;
+        # node lo holds its sum already (node 0 holds 0 and is left out).
+        part = rows.view(np.complex128)[:, max(lo, 1):hi + 1, 0]
         np.cumsum(part, axis=1, out=part)
+    return kept
 
 
-def _reduce_chunk(rng, start, paths, s, tube, reduce, width) -> np.ndarray:
-    """Draw trials start .. into paths; reduce's values as a new read-only
-    (nb, width) float array."""
-    _draw_rows(rng, start, paths, s, tube)
-    shown = paths.view()
-    shown.flags.writeable = False
-    values, shape = reduce(shown), (paths.shape[0], width)
-    if np.shape(values) != shape:
-        raise ValueError(f"reduce gave shape {np.shape(values)} for {shape} values")
-    values = np.array(values, dtype=np.float64)  # a copy: reduce may return a view of paths
-    values.flags.writeable = False
-    return values
+def _work(values_of, starts, w, ends):
+    """Body of worker w, forked by _trial_chunks: write a _DRAWN byte and
+    values_of(start) for chunks w, w + 2, ... into its own pipe.
 
-
-def _work(rng, starts, rows, n_trials, n, s, reduce, width, tube, w, ends):
-    """Body of worker w, forked by _trial_chunks: reduce chunks w, w + 2, ...
-
-    ends holds the read and write end of each worker's pipe (see
-    _trial_chunks); this one closes all but its own write end. Chunk c is
-    drawn into a private buffer, allocated here after the fork, and its
-    values go down the pipe after a _DRAWN byte; the pipe's buffer bounds
-    how far the worker runs ahead. An error sends _FAILED and its traceback.
-    A broken pipe means the caller is gone. Leaves only by os._exit, so
-    nothing of the caller's (atexit hooks, buffered output) runs twice.
+    ends holds the read and write end of each worker's pipe; this one
+    closes all but its own write end. An error sends _FAILED and its
+    traceback. Leaves only by os._exit, so nothing of the caller's (atexit
+    hooks, buffered output) runs twice.
     """
     code = 0
     ready = ends[2 * w + 1]
@@ -290,11 +261,8 @@ def _work(rng, starts, rows, n_trials, n, s, reduce, width, tube, w, ends):
         for fd in ends:
             if fd != ready:
                 os.close(fd)
-        paths = np.empty((rows, n + 1, 2))
-        for c in range(w, len(starts), _WORKERS):
-            nb = min(rows, n_trials - starts[c])
-            frame = memoryview(_DRAWN + _reduce_chunk(
-                rng, starts[c], paths[:nb], s, tube, reduce, width).tobytes())
+        for start in starts[w::_WORKERS]:
+            frame = memoryview(_DRAWN + values_of(start).tobytes())
             while frame:
                 frame = frame[os.write(ready, frame):]
     except BaseException:
@@ -326,44 +294,56 @@ def _read_values(ready: int, nb: int, width: int, start: int) -> np.ndarray:
     raise RuntimeError(f"the worker drawing trials {start} on exited without a result")
 
 
-def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int,
-                  chunk: int = 128, tube=None):
+def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int, keep=None):
     """Per-trial values of trial-keyed Brownian paths, chunk by chunk.
 
     Row i of a chunk's paths, shape (nb, n+1, 2), holds trial start + i,
     drawn from rng.child(start + i), scaled by sqrt(h) and summed in order
     along the time axis, so the paths do not depend on the chunk size. A
-    chunk holds at most `chunk` rows and at most _CHUNK_BYTES bytes of paths
-    (at least one row). reduce(paths) gets each chunk's paths as a read-only
-    array and returns an (nb, width) float array of per-trial values; the
-    values are what is yielded, as (start, values) in trial order, each a
-    new read-only array of the caller's own. reduce must be deterministic
-    per row, so the values do not depend on the chunk size either. tube =
-    (nodes, widest) draws the rows as _draw_rows says: a row whose strided
-    gap to nodes passes widest on the first half of the grid is not drawn
-    on, and its nodes after the split are +inf.
+    chunk holds at most _CHUNK_ROWS rows and at most _CHUNK_BYTES bytes of
+    paths (at least one row). reduce(paths) gets each chunk's paths as a
+    read-only array and returns a (len(paths), width) float array of
+    per-trial values; the values are what is yielded, as (start, values) in
+    trial order, each a new read-only (nb, width) array of the caller's own.
+    reduce must be deterministic per row, so the values do not depend on the
+    chunk size either. With keep, the rows are drawn as _draw_rows says, and
+    a row keep drops is not drawn on and not reduced: its values are +inf.
 
-    Two worker processes, forked per call, draw and reduce the chunks:
-    worker c % 2 draws chunk c into a private buffer, reduces it and writes
-    a _DRAWN byte and the nb x width float64 values into its own pipe,
-    which the caller reads in trial order; the caller maps no path memory,
-    and the pipe's buffer bounds how far a worker runs ahead. Each worker
-    keeps only its own write end, so a worker whose caller dies gets a
-    broken pipe and exits. A worker's error, reduce's included, reaches the
-    caller as a RuntimeError carrying the worker's traceback. However the
-    caller leaves (exhausted, closed early, an exception), it SIGKILLs and
-    reaps every worker. Where os.fork is missing, the caller draws and
-    reduces each chunk itself into a reused buffer of paths.
+    Two worker processes, forked per call, run values_of: worker c % 2 sends
+    chunk c's values down its own pipe, which the caller reads in trial
+    order; the caller maps no path memory, and the pipe's buffer bounds how
+    far a worker runs ahead. Each worker keeps only its own write end, so a
+    worker whose caller dies gets a broken pipe and exits. A worker's error,
+    reduce's included, reaches the caller as a RuntimeError carrying the
+    worker's traceback. However the caller leaves (exhausted, closed early,
+    an exception), it SIGKILLs and reaps every worker. Where os.fork is
+    missing, the caller runs values_of itself.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = max(1, min(chunk, _CHUNK_BYTES // ((n + 1) * 16)))
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // ((n + 1) * 16)))
     starts = range(0, n_trials, rows)
+    buffer = []  # the paths, allocated on first use: in a worker, after the fork
+
+    def values_of(start):
+        """The values of trials start ..., a new read-only (nb, width) array."""
+        if not buffer:
+            buffer.append(np.empty((rows, n + 1, 2)))
+        nb = min(rows, n_trials - start)
+        kept = _draw_rows(rng, start, buffer[0][:nb], s, keep)
+        paths = buffer[0][:kept.size]
+        paths.flags.writeable = False
+        got = reduce(paths)
+        if np.shape(got) != (kept.size, width):
+            raise ValueError(f"reduce gave shape {np.shape(got)} for {(kept.size, width)} values")
+        values = np.full((nb, width), np.inf)
+        values[kept] = got  # a copy: reduce may return a view of paths
+        values.flags.writeable = False
+        return values
+
     if not hasattr(os, "fork"):
-        paths = np.empty((rows, n + 1, 2))
         for start in starts:
-            nb = min(rows, n_trials - start)
-            yield start, _reduce_chunk(rng, start, paths[:nb], s, tube, reduce, width)
+            yield start, values_of(start)
         return
     ends, pids = [], []  # the pipe ends the caller holds, the workers' ids
     try:
@@ -373,7 +353,7 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
         for w in range(workers):
             pid = os.fork()
             if pid == 0:
-                _work(rng, starts, rows, n_trials, n, s, reduce, width, tube, w, ends)
+                _work(values_of, starts, w, ends)
             pids.append(pid)
         for fd in ends[1::2]:
             os.close(fd)
@@ -494,7 +474,7 @@ def levy_area_law_experiment(
     increments, formed block by block in pooled scratch.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    blocks = max(1, _AREA_BLOCK // grid.n_steps)
+    blocks = max(1, group._AREA_BLOCK // grid.n_steps)
 
     def reduce(paths):
         # Blocks of whole rows form at most 512 KB of increments in pooled

@@ -58,6 +58,14 @@ class TestParsers:
             parse_reference_curve(text)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("text,position", [
+        ("line 1000001 0", 5), ("poly2 1 -1e300", 8), ("line 0 1e308", 7)])
+    def test_coefficient_beyond_1e6_position(self, text, position):
+        with pytest.raises(ReferenceParseError, match="magnitude of at most 1e6") as exc:
+            parse_reference_curve(text)
+        assert exc.value.position == position
+        assert parse_reference_curve("poly2 1e6 -1e6").planar_energy == 1e12 + 4e12 / 3
+
     def test_missing_arguments(self):
         with pytest.raises(ReferenceParseError):
             parse_reference_curve("line 1")
@@ -391,7 +399,9 @@ class TestBadInput:
         ["tube", "--epsilon", "nan"],
         ["support", "--epsilon", "0"],
         ["helix", "--refine", "1"],
-        ["girsanov-ratio", "--phi", "line 1e300 0"],  # Ito sums beyond O(h)
+        ["girsanov-ratio", "--phi", "line 1e300 0"],  # a coefficient beyond 1e6
+        ["ws-converge", "--deltas", "1e308"],
+        ["energy-diverge", "--wz-delta", "1e308"],
     ])
     def test_one_line_error_not_traceback(self, runner, argv):
         with runner.isolated_filesystem():
@@ -445,6 +455,19 @@ class TestBadInput:
         assert res.output == (f"Error: invalid --phi: expected a finite number, got "
                               f"'{token}' (position {position})\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target", ["0,0,inf", "1e200,0,1", "inf,0,1", "0,0,nan", "0,0",
+                                        "0,0,1,2", "a,b,c", "0,1e308,1", "0,0,1e300"])
+    def test_bad_helix_target_is_a_one_line_error(self, runner, target):
+        """Three finite numbers or an error; a helix whose distances or grid
+        overflow is an error that names --target too."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["helix", "--target", target, "--n", "2,4", "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+        assert "--target" in res.output
+
     def test_trials_beyond_memory_end_cleanly(self, runner):
         """levy-law keeps one float per trial: 10^14 trials ask for 800 TB,
         which fails at the first allocation, before any path is drawn."""
@@ -457,23 +480,47 @@ class TestBadInput:
             "Error: out of memory, try fewer --trials or a coarser --fine-step: ")
         assert res.output.count("\n") == 1
 
-    _TOKENS = st.sampled_from(["", " ", "0", "-1", "0.5", "2^-3", "2**-99999", "1e400",
-                               "nan", "inf", "line", "poly2", "zero", "x"])
+    _TOKENS = st.sampled_from(["", " ", "0", "-1", "2", "0.5", "2^-3", "2**-99999", "1e308",
+                               "1e400", "nan", "inf", "line", "poly2", "zero", "x"])
+    _NUMBERS = st.sampled_from(["0", "-1", "2", "0.5", "2^-3", "1e308", "nan", "inf"])
+    _VALUES = st.one_of(st.text(max_size=12), st.lists(_TOKENS, max_size=4).map(" ".join),
+                        st.lists(_TOKENS, max_size=4).map(",".join),
+                        st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join),
+                        st.tuples(st.sampled_from(["line", "poly2"]), _NUMBERS, _NUMBERS)
+                        .map(" ".join))
+    # Options that size a grid or an allocation take only values that keep a
+    # run short and small; --n and --budget are given on every run of their
+    # commands, as their defaults start long runs.
+    _SIZES = {"--n": st.sampled_from(["2", "2,4", "4,2", "0", "-1", "1e308", "x", ""]),
+              "--refine": st.sampled_from(["2", "1", "0", "-1", "x"]),
+              "--steps": st.sampled_from(["2^-3,2^-6", "2^-6", "0.5", "1", "2", "0", "-1",
+                                          "nan", "inf", "1e308", "2^-3,1e308", "x", ""]),
+              "--budget": st.sampled_from(["50", "2", "0", "-1", "x"])}
+    # each command's own options, flag to parameter name
+    _OPTIONS = {name: {p.opts[0]: p.name for p in main.commands[name].params
+                       if p.name in spec.parameters}
+                for name, spec in EXPERIMENTS.items() if spec.parameters}
 
-    @settings(max_examples=40, deadline=None)
-    @given(flag=st.sampled_from([("levy-law", "--lambdas"), ("tube", "--phi"),
-                                 ("tube", "--deltas"), ("support", "--phi")]),
-           value=st.one_of(st.text(max_size=12),
-                           st.lists(_TOKENS, max_size=4).map(" ".join),
-                           st.lists(_TOKENS, max_size=4).map(",".join)))
-    def test_random_list_and_curve_values_end_cleanly(self, flag, value):
-        """Any value ends in a verdict or a clean error, never a traceback."""
-        name, option = flag
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_list_and_curve_values_end_cleanly(self, data):
+        """Values for any options of any command end in a verdict or a clean
+        error: never a traceback, and never a RuntimeWarning."""
+        name = data.draw(st.sampled_from(sorted(self._OPTIONS)), label="command")
+        own = self._OPTIONS[name]
+        options = data.draw(st.lists(st.sampled_from(sorted(own)), min_size=1, unique=True),
+                            label="options")
+        argv = [name, "--trials", "20", "--fine-step", "2^-6", "--out", "r"]
+        sized = [o for o in ("--n", "--budget") if o in own and o not in options]
+        for option in options + sized:
+            default = str(EXPERIMENTS[name].parameters[own[option]])
+            value = data.draw(self._SIZES.get(option, st.just(default) | self._VALUES),
+                              label=option)
+            argv.append(f"{option}={value}")
         runner = CliRunner()
         with runner.isolated_filesystem():
-            res = runner.invoke(main, [name, f"{option}={value}", "--trials", "50",
-                                       "--fine-step", "2^-6", "--out", "r",
-                                       *(["--budget", "50"] if name == "tube" else [])])
+            res = runner.invoke(main, argv)
         assert res.exit_code in (0, 1, 2), res.output
         assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
 

@@ -119,7 +119,7 @@ class TestItoDiscretizations:
                               axis=(-2, -1))
             old_shift = np.exp(-np.sum(dphi * np.diff(planar, axis=-2), axis=(-2, -1)) / grid.step
                                - 0.5 * float(np.sum(dphi * dphi)) / grid.step)
-            with mock.patch.object(girsanov, "_AREA_BLOCK", block):
+            with mock.patch.object(group, "_AREA_BLOCK", block):
                 left, shift = ito_left_sum(phi, planar, grid), shift_weight(phi, planar, grid)
         for new, old in ((left, old_left), (shift, old_shift)):
             assert np.shape(new) == np.shape(old)
@@ -452,8 +452,7 @@ def test_fused_clock_is_bitwise_levy_area_and_the_trapezoid_cumsum(n, m, step, b
     planar = np.cumsum(rng.standard_normal((m * step, n + 1, 2)), axis=1)[::step]
     grid = TimeGrid.uniform(n)
     idx = girsanov._node_indices(grid, [0.0, *(j % (n + 1) / n for j in inner), 1.0])
-    with mock.patch.object(group, "_AREA_BLOCK", block), \
-            mock.patch.object(girsanov, "_AREA_BLOCK", block):
+    with mock.patch.object(group, "_AREA_BLOCK", block):
         new = girsanov._clock_values(planar, idx, grid.step)
     old = _old_clock_values(planar, idx, grid.step)
     assert new.shape == old.shape and new.tobytes() == old.tobytes()

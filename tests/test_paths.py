@@ -41,6 +41,11 @@ class TestTimeGrid:
         assert g.n_steps == 8
         assert g.step == 0.125
 
+    def test_uniform_beyond_what_numpy_can_index_is_a_memory_error(self):
+        """numpy refuses the node array outright; that is out of memory too."""
+        with pytest.raises(MemoryError, match="Maximum allowed size"):
+            TimeGrid.uniform(2 ** 70)
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.25, 1.0]))

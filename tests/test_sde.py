@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heis import group, sde
+from heis import girsanov, group, sde
 from heis.group import group_distance_array, omega
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
@@ -180,7 +180,7 @@ def _per_trial_paths(grid, rng, n_trials):
 
 def _rows(paths):
     """A reduce that keeps whole paths, one flat row per trial."""
-    return paths.reshape(paths.shape[0], -1)
+    return paths.reshape(paths.shape[0], math.prod(paths.shape[1:]))
 
 
 def _chunks(grid, rng, n_trials, **kwargs):
@@ -234,12 +234,13 @@ def test_sample_bm_is_row_zero_of_the_trial_source(n_steps, rng):
 @pytest.mark.parametrize("chunk", [1, 7, 512])
 @pytest.mark.parametrize("rng", [RngSpec(77), RngSpec(-5, 2 ** 64 - 3)],
                          ids=["plain", "wraps-2^64"])
-def test_trial_chunks_match_per_trial_generators(chunk, rng):
+def test_trial_chunks_match_per_trial_generators(chunk, rng, monkeypatch):
     """Chunked draws equal the per-trial reference bit for bit, for a trial
     count that is not a multiple of the chunk and for streams past 2^64."""
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", chunk)
     grid = TimeGrid.uniform(32)
     n_trials = 25
-    items = _drawn(grid, rng, n_trials, chunk=chunk)
+    items = _drawn(grid, rng, n_trials)
     assert [start for start, _ in items] == list(range(0, n_trials, chunk))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, n_trials))
@@ -253,46 +254,94 @@ def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, k, fo
     bit on grids of 2^-k, with the workers and without os.fork."""
     grid = TimeGrid.uniform(2 ** k)
     rng = RngSpec(91, 7)
-    with contextlib.nullcontext() if fork else _without_fork():
-        items = _drawn(grid, rng, n_trials, chunk=chunk)
+    with contextlib.nullcontext() if fork else _without_fork(), \
+            mock.patch.object(sde, "_CHUNK_ROWS", chunk):
+        items = _drawn(grid, rng, n_trials)
     assert [start for start, _ in items] == list(range(0, n_trials, chunk))
     drawn = np.concatenate([np.empty((0, 2 ** k + 1, 2))] + [p for _, p in items])
     np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
 
 
-@pytest.mark.parametrize("n_steps", [8, 15, 16, 17, 64, 1000, 1024])
+@pytest.mark.parametrize("n_steps", [1, 8, 15, 16, 17, 64, 1000, 1024])
 def test_tube_draw_keeps_rows_bitwise_and_drops_only_rows_out_of_the_tube(n_steps):
-    """Drawn in two parts, a kept row is its whole-row draw bit for bit; a
-    dropped row has its draw up to the split, +inf after it, and a sup of
-    at least the radius. Grids under 16 steps split at 0: whole rows."""
+    """With _tube_scan's keep, the kept rows come first, each its whole-row
+    draw bit for bit; the dropped rows are exactly those whose strided gap
+    up to the split node n // 2 reaches the radius, their sup does too, and
+    the trial source gives their trials +inf in every column. One step
+    splits at 0: whole rows; under 16 steps the prefix holds no strided node
+    but node 0, so no row is dropped."""
     grid, rng = TimeGrid.uniform(n_steps), RngSpec(17, 5)
     s = math.sqrt(grid.step)
     nodes = np.stack([grid.times, 0.5 * grid.times], axis=-1)
     whole = np.empty((300, n_steps + 1, 2))
     sde._draw_rows(rng, 0, whole, s)
     sup = np.sqrt(np.max(np.sum((whole - nodes) ** 2, axis=-1), axis=-1))
-    split = n_steps // 2 // 8 * 8
+    split = n_steps // 2
+    gap = girsanov._strided_gap(whole[:, :split + 1], nodes[:split + 1])
     dropped = 0
     for widest in [*np.quantile(sup, [0.05, 0.5, 0.95]), np.inf]:
+        def keep(prefix):
+            return girsanov._strided_gap(prefix, nodes[:prefix.shape[1]]) < widest
+
         two = np.empty_like(whole)
-        sde._draw_rows(rng, 0, two, s, (nodes, widest))
-        kept = np.isfinite(two[:, -1, 0])
-        np.testing.assert_array_equal(two[kept], whole[kept])
-        np.testing.assert_array_equal(two[:, :split + 1], whole[:, :split + 1])
-        assert np.all(two[~kept, split + 1:] == np.inf)
-        assert np.all(sup[~kept] >= widest)
-        dropped += int(np.sum(~kept))
-    assert (dropped > 0) == (split > 0)
+        kept = sde._draw_rows(rng, 0, two, s, keep)
+        np.testing.assert_array_equal(kept, np.flatnonzero(gap < widest) if split else range(300))
+        np.testing.assert_array_equal(two[:kept.size], whole[kept])
+        out = np.ones(300, dtype=bool)
+        out[kept] = False
+        assert np.all(sup[out] >= widest)
+        values = np.concatenate([v for _, v in _chunks(grid, rng, 300, keep=keep)])
+        np.testing.assert_array_equal(values[kept], _rows(whole[kept]))
+        assert np.all(values[out] == np.inf)
+        dropped += int(np.sum(out))
+    assert (dropped > 0) == (split >= girsanov._TUBE_STRIDE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), k=st.integers(0, 7),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+       c=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-np.inf, np.inf])),
+       fork=st.booleans())
+def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork):
+    """A random row predicate on the prefix up to node n // 2, with the
+    workers and without os.fork: kept trials' values are their per-trial
+    reference paths, dropped trials' values are +inf, and reduce never gets
+    a dropped row."""
+    grid, rng = TimeGrid.uniform(2 ** k), RngSpec(93, 4)
+    split = 2 ** k // 2
+
+    def kept_rows(prefix):
+        return a * prefix[:, -1, 0] + b * prefix[:, -1, 1] < c
+
+    def keep(prefix):
+        assert not prefix.flags.writeable and prefix.shape[1:] == (split + 1, 2)
+        return kept_rows(prefix)
+
+    def reduce(paths):
+        if split:
+            assert np.all(kept_rows(paths[:, :split + 1]))
+        return _rows(paths)
+
+    ref = _per_trial_paths(grid, rng, n_trials)
+    with contextlib.nullcontext() if fork else _without_fork(), \
+            mock.patch.object(sde, "_CHUNK_ROWS", chunk):
+        items = list(_trial_chunks(grid, rng, n_trials, reduce, 2 * (2 ** k + 1), keep))
+    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    values = np.concatenate([np.empty((0, 2 * (2 ** k + 1)))] + [v for _, v in items])
+    kept = kept_rows(ref[:, :split + 1]) if split else np.ones(n_trials, dtype=bool)
+    np.testing.assert_array_equal(values[kept], _rows(ref[kept]))
+    assert np.all(values[~kept] == np.inf)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 37, 256])
-def test_caller_assisted_chunks_match_per_trial_generators(chunk):
+def test_caller_assisted_chunks_match_per_trial_generators(chunk, monkeypatch):
     """On a 1024-step grid, where the caller once drew blocks of the chunks
     it waited for, and with enough chunks that each worker sends many, the
     rows are still the per-trial reference bit for bit."""
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", chunk)
     grid = TimeGrid.uniform(1024)
     rng = RngSpec(29, 11)
-    items = _drawn(grid, rng, 300, chunk=chunk)
+    items = _drawn(grid, rng, 300)
     assert [start for start, _ in items] == list(range(0, 300, chunk))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, 300))
@@ -300,36 +349,40 @@ def test_caller_assisted_chunks_match_per_trial_generators(chunk):
 
 def test_without_fork_the_caller_draws_the_same_rows(monkeypatch):
     monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 8)
     grid, rng = TimeGrid.uniform(64), RngSpec(31, 5)
-    items = _drawn(grid, rng, 50, chunk=8)
+    items = _drawn(grid, rng, 50)
     assert [start for start, _ in items] == list(range(0, 50, 8))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, 50))
     assert not next(_chunks(grid, rng, 50))[1].flags.writeable
 
 
-def test_yielded_chunks_are_read_only():
+def test_yielded_chunks_are_read_only(monkeypatch):
     def reduce(paths):
         assert not paths.flags.writeable  # in the worker
         return _rows(paths)
 
-    for start, values in _trial_chunks(GRID, RngSpec(3), 30, reduce, 2 * 257, chunk=7):
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
+    for start, values in _trial_chunks(GRID, RngSpec(3), 30, reduce, 2 * 257):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0, 0] = 1.0
     _no_child_left()
 
 
-def test_closing_trial_chunks_early_leaves_no_worker():
+def test_closing_trial_chunks_early_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
     with _nothing_left():
-        chunks = _chunks(TimeGrid.uniform(1024), RngSpec(3), 1000, chunk=7)
+        chunks = _chunks(TimeGrid.uniform(1024), RngSpec(3), 1000)
         next(chunks)
         chunks.close()
 
 
-def test_a_consumer_error_leaves_no_worker():
+def test_a_consumer_error_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
     with _nothing_left(), pytest.raises(KeyError):
-        for start, values in _chunks(GRID, RngSpec(3), 1000, chunk=7):
+        for start, values in _chunks(GRID, RngSpec(3), 1000):
             if start > 20:
                 raise KeyError(start)
 
@@ -343,7 +396,8 @@ def test_draw_error_reaches_the_caller(monkeypatch):
         return draw(rng, first, *args)
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
-    chunks = _chunks(GRID, RngSpec(3), 20, chunk=10)
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 10)
+    chunks = _chunks(GRID, RngSpec(3), 20)
     assert next(chunks)[0] == 0
     with pytest.raises(RuntimeError, match="trial 10 failed"):
         next(chunks)
@@ -359,16 +413,18 @@ def test_a_worker_error_leaves_no_worker(monkeypatch):
         return draw(rng, first, *args)
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 10)
     with _nothing_left(), pytest.raises(RuntimeError, match="trial 70 failed"):
-        for _ in _chunks(GRID, RngSpec(3), 200, chunk=10):
+        for _ in _chunks(GRID, RngSpec(3), 200):
             pass
 
 
 def test_a_worker_that_dies_is_an_error(monkeypatch):
     """A worker that exits before sending its chunk, with no traceback."""
     monkeypatch.setattr(sde, "_draw_rows", lambda *args: os._exit(3))
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 10)
     with _nothing_left(), pytest.raises(RuntimeError, match="trials 0 on exited without a result"):
-        list(_chunks(GRID, RngSpec(3), 20, chunk=10))
+        list(_chunks(GRID, RngSpec(3), 20))
 
 
 def test_a_chunk_cut_short_is_an_error():
@@ -384,10 +440,11 @@ def test_a_chunk_cut_short_is_an_error():
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["workers", "without-fork"])
-def test_yielded_chunks_outlive_the_next_request(fork):
+def test_yielded_chunks_outlive_the_next_request(fork, monkeypatch):
     """Chunk 0 is unchanged after a whole pass, which leaves no fd open."""
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
     with _nothing_left(), contextlib.nullcontext() if fork else _without_fork():
-        chunks = _chunks(GRID, RngSpec(3), 1000, chunk=7)
+        chunks = _chunks(GRID, RngSpec(3), 1000)
         first = next(chunks)[1]
         kept = first.copy()
         for _ in chunks:
@@ -399,9 +456,10 @@ _KILLED_SCAN = """
 import sys, time
 from heis.paths import TimeGrid
 from heis.rng import RngSpec
-from heis.sde import _trial_chunks
-for start, values in _trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 10 ** 6,
-                                   lambda paths: paths[:, -1], 2, chunk=16):
+from heis import sde
+sde._CHUNK_ROWS = 16
+for start, values in sde._trial_chunks(TimeGrid.uniform(1024), RngSpec(3), 10 ** 6,
+                                       lambda paths: paths[:, -1], 2):
     if start == 0:
         print("first chunk", flush=True)
     time.sleep(0.001)
@@ -461,22 +519,23 @@ def test_trial_chunks_stay_within_byte_budget():
     assert sum(rows) == 20 and len(rows) > 1
 
 
-def test_a_reduce_of_the_wrong_shape_is_an_error():
+def test_a_reduce_of_the_wrong_shape_is_an_error(monkeypatch):
     def reduce(paths):
         return paths[:, -1]  # width 2, not 3
 
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 10)
     with pytest.raises(RuntimeError, match="reduce gave shape"):
-        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3, chunk=10))
+        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3))
     _no_child_left()
     with _without_fork(), pytest.raises(ValueError, match="reduce gave shape"):
-        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3, chunk=10))
+        list(_trial_chunks(GRID, RngSpec(3), 20, reduce, 3))
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1023, 1024, 4096, 5000])
 def test_blockwise_row_sums_equal_the_whole_chunk_sum(n):
     """levy-law sums each block of _AREA_BLOCK // n whole rows on its own;
     every row's sum is bitwise the one over the whole chunk."""
-    rows = max(1, sde._AREA_BLOCK // n)
+    rows = max(1, group._AREA_BLOCK // n)
     inc = np.random.default_rng(n).standard_normal((2 * rows + 3, n))
     blocks = [np.sum(inc[r:r + rows], axis=-1) for r in range(0, inc.shape[0], rows)]
     _assert_same_bytes(np.concatenate(blocks), np.sum(inc, axis=-1))

@@ -19,7 +19,11 @@ operation counts, the host's steal share over the run, read from the
 aggregate cpu line of /proc/stat, its CPU seconds: the user plus system
 time of every process the run started and reaped (its operations, their
 trial workers and the calibrations), and the minor page faults of those
-processes, both from getrusage(RUSAGE_CHILDREN). The output keeps BENCH_6.json's layout:
+processes, both from getrusage(RUSAGE_CHILDREN), and the medians of the raw
+import_s and of the calibration over the run's operations, parsed from
+run.py's `op N: ...` stderr lines: perfbench scales setup_s (and every time)
+by the calibration, so a setup_s move with an unmoved raw import is the
+calibration's. The output keeps BENCH_6.json's layout:
 per workload the runs of each side, their median and quartiles, the pairs the
 change won, the median change and the median gap over the parent's
 interquartile range. A run that exits non-zero is recorded with its exit
@@ -32,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import statistics
@@ -100,10 +105,24 @@ def children_usage():
     return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
+def stderr_medians(stderr):
+    """Medians of the raw import_s and of the calibration seconds of the
+    `op N: ...` lines run.py prints per operation; None where none reads."""
+    found = {"import_s": [], "calibration_s": []}
+    for line in stderr.splitlines():
+        if line.startswith("op "):
+            for key, pattern in (("import_s", r"\bimport_s ([-+.\de]+)"),
+                                 ("calibration_s", r"\bcalibration ([-+.\de]+)")):
+                m = re.search(pattern, line)
+                if m:
+                    found[key].append(float(m.group(1)))
+    return {k: round(statistics.median(v), 4) if v else None for k, v in found.items()}
+
+
 def run_once(checkout, workload, seed, seconds):
     """One perfbench run: its JSON result line (None if it crashed), the steal
-    share over it, its CPU seconds, its minor page faults and, for a crash,
-    its exit code and stderr tail."""
+    share over it, its CPU seconds, its minor page faults, its stderr_medians
+    and, for a crash, its exit code and stderr tail."""
     before, (cpu_before, faults_before) = host_jiffies(), children_usage()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -115,10 +134,11 @@ def run_once(checkout, workload, seed, seconds):
     if before and after and after[1] > before[1]:
         steal = round((after[0] - before[0]) / (after[1] - before[1]), 4)
     lines = proc.stdout.strip().splitlines()
+    raw = stderr_medians(proc.stderr)
     if proc.returncode != 0 or not lines:
-        return None, steal, cpu, faults, {"seed": seed, "returncode": proc.returncode,
-                                          "stderr_tail": proc.stderr[-2000:]}
-    return json.loads(lines[-1]), steal, cpu, faults, None
+        return None, steal, cpu, faults, raw, {"seed": seed, "returncode": proc.returncode,
+                                               "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(lines[-1]), steal, cpu, faults, raw, None
 
 
 def summarize(values):
@@ -151,14 +171,17 @@ def bench_set(sides, workload, seeds, seconds, specs):
     steal = {"parent": [], "change": []}
     cpu = {"parent": [], "change": []}
     minflt = {"parent": [], "change": []}
+    raw = {"parent": [], "change": []}
     crashed = {"parent": [], "change": []}
     first = []
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
-            result, share, cpu_s, faults, crash = run_once(sides[side], workload, seed, seconds)
+            result, share, cpu_s, faults, medians, crash = run_once(
+                sides[side], workload, seed, seconds)
             runs[side].append(result)
+            raw[side].append(medians)
             steal[side].append(share)
             cpu[side].append(cpu_s)
             minflt[side].append(faults)
@@ -199,6 +222,8 @@ def bench_set(sides, workload, seeds, seconds, specs):
         "minflt": minflt,
         "minflt_per_op": {s: [round(f / r["attempted"]) if r and r["attempted"] else None
                               for f, r in zip(minflt[s], runs[s])] for s in minflt},
+        "import_s_raw_median": {s: [m["import_s"] for m in ms] for s, ms in raw.items()},
+        "calibration_s_median": {s: [m["calibration_s"] for m in ms] for s, ms in raw.items()},
         "metrics": metrics,
     }
 
@@ -241,7 +266,10 @@ def main():
                   "trial workers and calibrations included (getrusage RUSAGE_CHILDREN); it "
                   "grows with the operations that fit the run, so cpu_s_per_op divides it "
                   "by attempted_ops; minflt is the minor page faults of the same processes "
-                  "(ru_minflt of RUSAGE_CHILDREN), and minflt_per_op divides it likewise",
+                  "(ru_minflt of RUSAGE_CHILDREN), and minflt_per_op divides it likewise; "
+                  "import_s_raw_median and calibration_s_median are per run the medians of "
+                  "the unscaled import seconds and of the calibration seconds that run.py "
+                  "prints per operation on stderr; run.py scales setup_s by the calibration",
         "machine": {"nproc": os.cpu_count(), "cpu": cpu_name(), **versions()},
     }
     if args.claim:
