@@ -38,6 +38,13 @@ from .results import ResultTable
 from .rng import RngSpec
 
 
+# The largest magnitude of a curve coefficient or a levy-law lambda. The scans
+# form fourth powers of a path's gap to the curve, which overflow for
+# coefficients near 1e77, and cos(lambda A_1) overflows its product for
+# lambda |A_1| near 1e308; 1e6 leaves a wide margin for both.
+_MAX_MAGNITUDE = 1e6
+
+
 class ReferenceParseError(ValueError):
     """Reference-curve mini-language error; carries the column position."""
 
@@ -69,9 +76,7 @@ def parse_reference_curve(text: str) -> girsanov.ReferenceCurve:
             raise ReferenceParseError(f"expected a number, got {tok!r}", tpos) from None
         if not math.isfinite(vals[-1]):
             raise ReferenceParseError(f"expected a finite number, got {tok!r}", tpos)
-        # the scans form fourth powers of a path's gap to the curve, which
-        # overflow for coefficients near 1e77; 1e6 leaves a wide margin
-        if abs(vals[-1]) > 1e6:
+        if abs(vals[-1]) > _MAX_MAGNITUDE:
             raise ReferenceParseError(f"expected a magnitude of at most 1e6, got {tok!r}", tpos)
     if kind == "zero":
         return girsanov.ReferenceCurve.zero()
@@ -477,9 +482,12 @@ def _support_verdicts(table, parameters):
 
 
 def _levy_law(cfg) -> ResultTable:
+    lambdas = parse_float_list(cfg["parameters"]["lambdas"])
+    for lam in lambdas:
+        if abs(lam) > _MAX_MAGNITUDE:
+            raise ValueError(f"invalid --lambdas: expected magnitudes of at most 1e6, got {lam:g}")
     return sde.levy_area_law_experiment(parse_fine_step(cfg["fine_step"]), cfg["trials"],
-                                        parse_float_list(cfg["parameters"]["lambdas"]),
-                                        RngSpec(cfg["seed"]))
+                                        lambdas, RngSpec(cfg["seed"]))
 
 
 def _levy_law_verdicts(table, parameters):

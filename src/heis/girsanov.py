@@ -417,37 +417,52 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
 
     planar (..., n+1, 2) holds m trials; the result has shape (m, 4 len(idx)).
     A is the Levy area, tau the quarter integral of |B|^2 by the trapezoid
-    rule. One pass over blocks of whole rows, at most _AREA_BLOCK nodes and
-    at least one row: the area increments (_area_into) go into the real part
-    of one pooled complex block (slot _HELD), 0.5 * (|B_k|^2 + |B_{k+1}|^2)
-    * h into its imaginary part, and one in-place complex cumsum makes the
-    additions of the two real running sums in the same order. Node 0 gives
-    0. Every value is bitwise that of levy_area and the trapezoid cumsum.
+    rule. One pass over blocks of whole rows, as many as fit in _AREA_BLOCK
+    elements and at least one, each copied time-major into pooled scratch
+    (slot _HELD) as planes (x, y, increments) of shape (nodes, rows): _area_into
+    writes the area increments into the third plane, |B|^2 as sq_norm forms
+    it goes into x, and the trapezoid terms 0.5 * (|B_k|^2 + |B_{k+1}|^2) * h
+    into y. The running sums at the nodes idx, in sorted order, are
+    reductions over the node axis, each started from the sum at the previous
+    node, written into that node's consumed slot; these are cumsum's
+    additions in its order, vectorised across rows (the -0.0 start is exact
+    for any first term, the sign of zero included). Node 0 gives 0. Every
+    value is bitwise that of levy_area and the trapezoid cumsum.
     """
     planar = planar.reshape(-1, *planar.shape[-2:])
     m, n1, _ = planar.shape
     k = len(idx)
     out = np.empty((m, 4 * k))
     out[:, 2 * k:] = planar[:, idx].reshape(m, 2 * k)
-    rows = max(1, group._AREA_BLOCK // n1)
+    nodes = np.unique(idx)
+    nodes = nodes[nodes > 0].tolist()
+    rows = max(1, group._AREA_BLOCK // (3 * n1))
     for r in range(0, m, rows):
         p = planar[r:r + rows]
-        block = _scratch(_HELD, (p.shape[0], n1), np.complex128)
-        area, clock = block.real, block.imag
-        # |B|^2 as sq_norm forms it, in the leaf slot before _area_into takes it
-        sq = _scratch(_LEAF, (p.shape[0], n1))
-        np.multiply(p[..., 0], p[..., 0], out=sq)
-        np.multiply(p[..., 1], p[..., 1], out=clock)
-        np.add(sq, clock, out=sq)
-        np.add(sq[:, :-1], sq[:, 1:], out=clock[:, 1:])
-        np.multiply(clock, 0.5, out=clock)
-        np.multiply(clock, h, out=clock)
-        block[:, 0] = 0.0
-        _area_into(p, area[:, 1:])
-        np.cumsum(block[:, 1:], axis=1, out=block[:, 1:])
+        # A lone row would collapse the row axis, and numpy would then sum the
+        # node axis pairwise: it is broadcast into two columns instead.
+        cols = max(2, p.shape[0])
+        block = _scratch(_HELD, (3, n1, cols))
+        x, clock, area = block
+        copy = block[:2].transpose(2, 1, 0)
+        np.copyto(copy, p)
+        _area_into(copy, area[1:].T)
+        np.multiply(x, x, out=x)
+        np.multiply(clock, clock, out=clock)
+        np.add(x, clock, out=x)
+        np.add(x[:-1], x[1:], out=clock[1:])
+        np.multiply(clock[1:], 0.5, out=clock[1:])
+        np.multiply(clock[1:], h, out=clock[1:])
+        sums, acc = block[1:], _scratch(_LEAF, (2, cols))
+        start = 1
+        for j in nodes:
+            np.add.reduce(sums[:, start:j + 1], axis=1, out=acc, initial=-0.0)
+            sums[:, j] = acc
+            start = j
+        sums[:, 0] = 0.0
         o = out[r:r + rows]
-        o[:, :k] = area[:, idx]
-        np.multiply(clock[:, idx], 0.25, out=o[:, k:2 * k])
+        o[:, :k] = area[idx, :p.shape[0]].T
+        np.multiply(clock[idx, :p.shape[0]].T, 0.25, out=o[:, k:2 * k])
     return out
 
 
@@ -456,10 +471,10 @@ def time_change_diagnostics(samples, times) -> ResultTable:
 
     samples: iterable of hypoelliptic_bm's SampledPaths, one trial each, on
     a shared uniform grid. A is the Levy area of a sample's planar path,
-    formed by _clock_values as dds_experiment forms it; for hypoelliptic_bm's
-    samples that is bitwise their z. tau is the quarter integral of
-    |B|^2, evaluated by the trapezoid rule (exact in mean for this
-    integrand). Correlations are between A_t and the planar
+    formed by _clock_values as dds_experiment forms it (each sample is one
+    lone-row block there); for hypoelliptic_bm's samples that is bitwise
+    their z. tau is the quarter integral of |B|^2, evaluated by the
+    trapezoid rule (exact in mean for this integrand). Correlations are between A_t and the planar
     coordinates at the same time. A_t and B_t are uncorrelated but not
     independent (E[A_1^2 (B^1_1)^2] = 5/12, not 1/4), so the null scale of a
     correlation is sqrt(E[a^2 b^2] / (E[a^2] E[b^2]) / N) over the centred

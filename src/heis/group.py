@@ -42,8 +42,8 @@ _AREA_BLOCK = 1 << 16
 # pages instead of mapping fresh ones. Slot _LEAF serves code that calls no
 # pooled kernel while it holds its view (_area_into, the Ito sums); slot
 # _HELD serves a caller that holds a block across such a call (the levy-law
-# increments, the dds clock). Views of one slot alias, views of different
-# slots never do.
+# increments, the dds clock's time-major copy of its rows). Views of one slot
+# alias, views of different slots never do.
 _SCRATCH = [np.empty(0), np.empty(0)]
 _LEAF, _HELD = 0, 1
 
@@ -69,18 +69,19 @@ def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
     elements and at least one: dy goes into out, dx into pooled scratch
     (slot _LEAF), and x dy - dx y and the halving happen in place. These are
     the operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so
-    every value is bitwise the same. out may be any float64 view, such as the
-    real part of a complex array.
+    every value is bitwise the same. out may be any float64 view; dx is laid
+    out in out's memory order, row-major or, when out's rows are its shorter
+    stride (a time-major view), node-major.
     """
     m, n = out.shape
     if m == 0 or n == 0:
         return
     rows = max(1, _AREA_BLOCK // n)
-    scratch = _scratch(_LEAF, (min(rows, m), n))
+    time_major = out.strides[0] < out.strides[1]
     for r in range(0, m, rows):
         p = planar[r:r + rows]
         o = out[r:r + rows]
-        dx = scratch[:o.shape[0]]
+        dx = _scratch(_LEAF, (n, len(o))).T if time_major else _scratch(_LEAF, (len(o), n))
         x, y = p[:, :-1, 0], p[:, :-1, 1]
         np.subtract(p[:, 1:, 1], y, out=o)
         np.subtract(p[:, 1:, 0], x, out=dx)

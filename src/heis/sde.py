@@ -15,9 +15,9 @@ Conventions fixed here and relied on by the tests:
     only the per-trial values; an experiment's keep may drop rows halfway,
     and the source knows nothing of what keep tests;
   - the reduces' kernels (the area, the levy-law row sums, the Ito sums and
-    the dds clock of heis.girsanov) work through blocks of whole rows in
-    heis.group's per-process scratch pool, so a worker reuses the same
-    pages chunk after chunk;
+    the dds clock of heis.girsanov, which copies its rows time-major) work
+    through blocks of whole rows in heis.group's per-process scratch pool,
+    so a worker reuses the same pages chunk after chunk;
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 

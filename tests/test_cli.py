@@ -251,13 +251,13 @@ class TestExperimentCommands:
         """cosh(lambda / 2) overflows a float for lambda above about 1420; the
         target is then 0, and the run ends in a verdict."""
         with runner.isolated_filesystem():
-            res = runner.invoke(main, ["levy-law", "--lambdas", "1e308", "--trials", "50",
+            res = runner.invoke(main, ["levy-law", "--lambdas", "1e4", "--trials", "50",
                                        "--fine-step", "2^-6", "--out", "r"])
             assert res.exit_code in (0, 1), res.output
             assert res.exception is None or isinstance(res.exception, SystemExit)
-            assert "lambda=1e+308: " in res.output and "vs 0.00000" in res.output
+            assert "lambda=10000: " in res.output and "vs 0.00000" in res.output
             summary = json.loads(Path("r/levy-law.summary.json").read_text())
-            assert summary["meta"]["targets"]["cos_1e+308"] == 0.0
+            assert summary["meta"]["targets"]["cos_10000"] == 0.0
 
     def test_dds_small(self, runner):
         with runner.isolated_filesystem():
@@ -400,6 +400,8 @@ class TestBadInput:
         ["support", "--epsilon", "0"],
         ["helix", "--refine", "1"],
         ["girsanov-ratio", "--phi", "line 1e300 0"],  # a coefficient beyond 1e6
+        ["levy-law", "--lambdas", "1e308"],  # cos(lambda A_1) would overflow
+        ["levy-law", "--lambdas", "1,-2e6"],
         ["ws-converge", "--deltas", "1e308"],
         ["energy-diverge", "--wz-delta", "1e308"],
     ])

@@ -458,6 +458,34 @@ def test_fused_clock_is_bitwise_levy_area_and_the_trapezoid_cumsum(n, m, step, b
     assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
+def _edge_paths(m, n, seed):
+    return np.cumsum(np.random.default_rng(seed).standard_normal((m, n + 1, 2)), axis=1)
+
+
+_CLOCK_ROWS = group._AREA_BLOCK // (3 * 1025)  # rows of one block at 2^-10: three planes
+
+
+@pytest.mark.parametrize("planar, idx", [
+    (_edge_paths(1, 1024, 1), [256, 512, 1024]),
+    (_edge_paths(2 * _CLOCK_ROWS + 1, 1024, 2), [256, 512, 1024]),
+    (_edge_paths(5, 1, 3), [0, 1]),
+    (_edge_paths(1, 1, 4), [1]),
+    (_edge_paths(9, 64, 5), [64, 0, 17, 17, 3, 0, 64]),
+    (np.broadcast_to([-1.0, 0.5], (3, 65, 2)), [0, 1, 32, 64]),
+], ids=["lone-row", "rows-1-mod-block", "n=1", "lone-row-n=1", "idx-0-dups-unsorted",
+        "negative-zero-increments"])
+def test_clock_edges_are_bitwise_the_old_values(planar, idx):
+    """A lone row (broadcast into two columns), a last block of one row, one
+    step, repeated and unsorted nodes, and increments of -0.0 (x = -1, y
+    constant), whose running sums must stay -0.0: the bytes of levy_area
+    and the trapezoid cumsum."""
+    idx = np.array(idx)
+    n = planar.shape[1] - 1
+    new = girsanov._clock_values(planar, idx, 1.0 / n)
+    old = _old_clock_values(planar, idx, 1.0 / n)
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
 def test_pooled_scratch_reused_in_turns_gives_the_values_of_fresh_buffers(monkeypatch):
     """Shape A, then a longer shape B that grows the pool, then A again on
     B's leftovers: each kernel gives the bytes it gives on a fresh pool."""

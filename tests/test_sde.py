@@ -150,6 +150,23 @@ def test_area_kernel_matches_on_a_chunk_of_many_blocks(view):
     _assert_same_bytes(levy_area(p), _old_levy_area(p))
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 70), time_major_planar=st.booleans(),
+       block=st.sampled_from([1, 7, 64, 1 << 16]), seed=st.integers(0, 2 ** 32 - 1))
+def test_area_kernel_into_a_time_major_view_gives_the_row_major_bytes(
+        m, n, time_major_planar, block, seed):
+    """out laid out (node, row), from planar laid out either way: the bytes
+    of the row-major call, at any block size."""
+    planar = np.cumsum(np.random.default_rng(seed).standard_normal((m, n + 1, 2)), axis=1)
+    if time_major_planar:
+        planar = np.ascontiguousarray(planar.transpose(2, 1, 0)).transpose(2, 1, 0)
+    row_major, time_major = np.empty((m, n)), np.empty((n, m)).T
+    with mock.patch.object(group, "_AREA_BLOCK", block):
+        group._area_into(planar, row_major)
+        group._area_into(planar, time_major)
+    _assert_same_bytes(np.ascontiguousarray(time_major), row_major)
+
+
 @pytest.mark.parametrize("fn", [area_increments, levy_area])
 def test_area_kernel_holds_no_chunk_sized_temporaries(fn):
     """On a 256 x 4097 chunk the area takes its output plus at most 1 MB of
