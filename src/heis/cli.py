@@ -118,8 +118,20 @@ def parse_float_list(text):
     return _parse_list(text, parse_dyadic)
 
 
-def parse_int_list(text):
-    return _parse_list(text, int)
+def _positive_int(text) -> int:
+    v = int(text)
+    if v < 1:
+        raise ValueError(text)
+    return v
+
+
+def _option_list(cfg, key, parse=parse_dyadic, expected="positive finite numbers"):
+    """The list the option --key gives, or a one-line error that names it."""
+    text = cfg["parameters"][key]
+    try:
+        return _parse_list(text, parse)
+    except ValueError:
+        raise ValueError(f"invalid --{key}: expected {expected}, got {text!r}") from None
 
 
 def config_hash(cfg: dict, experiment: str) -> str:
@@ -304,7 +316,7 @@ def _simulate_verdicts(table, parameters):
 
 def _ws_converge(cfg) -> ResultTable:
     fine = parse_fine_step(cfg["fine_step"])
-    dl = sorted(parse_float_list(cfg["parameters"]["deltas"]), reverse=True)
+    dl = sorted(_option_list(cfg, "deltas"), reverse=True)
     interp = {"linear": sde.LINEAR, "smoothstep": sde.SMOOTHSTEP}[
         cfg["parameters"]["interpolant"]]
     return sde.ws_convergence_experiment(dl, fine, cfg["trials"], RngSpec(cfg["seed"]), interp)
@@ -326,7 +338,7 @@ def _ws_converge_verdicts(table, parameters):
 
 
 def _energy_diverge(cfg) -> ResultTable:
-    hs = sorted(parse_float_list(cfg["parameters"]["steps"]))
+    hs = sorted(_option_list(cfg, "steps"))
     if hs[0] != parse_fine_step(cfg["fine_step"]):
         raise ValueError(
             f"fine_step {cfg['fine_step']} must equal the smallest step {hs[0]:g}")
@@ -354,7 +366,7 @@ def _energy_diverge_verdicts(table, parameters):
 def _tube(cfg) -> ResultTable:
     p = cfg["parameters"]
     return girsanov.tube_decay_experiment(
-        _phi(cfg), float(p["epsilon"]), sorted(parse_float_list(p["deltas"]), reverse=True),
+        _phi(cfg), float(p["epsilon"]), sorted(_option_list(cfg, "deltas"), reverse=True),
         cfg["trials"], RngSpec(cfg["seed"]), parse_fine_step(cfg["fine_step"]),
         min_accepted=int(p["min_accepted"]), budget=int(p["budget"]))
 
@@ -363,7 +375,9 @@ def _tube_verdicts(table, parameters):
     p = table.column("p_hat")
     se = table.column("stderr")
     acc = table.column("accepted")
-    valid = acc >= int(parameters["min_accepted"])
+    # a level no trial reached has no estimate, whatever min_accepted allows
+    need = max(1, int(parameters["min_accepted"]))
+    valid = acc >= need
     inconclusive = not bool(np.all(valid))
     pv, sev = p[valid], se[valid]
     mono = all(pv[i + 1] <= pv[i] + 2.0 * math.hypot(sev[i], sev[i + 1])
@@ -374,7 +388,7 @@ def _tube_verdicts(table, parameters):
     return [
         _assertion("acceptance-counts", not inconclusive,
                    "accepted " + ", ".join(str(int(a)) for a in acc)
-                   + f" (need >= {parameters['min_accepted']})"),
+                   + f" (need >= {need})"),
         _assertion("non-increasing-2se", mono,
                    "p_hat " + (", ".join(f"{x:.4f}" for x in pv) or "none usable"),
                    evaluated=len(pv) >= 2),
@@ -386,7 +400,7 @@ def _tube_verdicts(table, parameters):
 
 def _girsanov_ratio(cfg) -> ResultTable:
     return girsanov.girsanov_ratio_experiment(
-        _phi(cfg), sorted(parse_float_list(cfg["parameters"]["deltas"]), reverse=True),
+        _phi(cfg), sorted(_option_list(cfg, "deltas"), reverse=True),
         cfg["trials"], RngSpec(cfg["seed"]), parse_fine_step(cfg["fine_step"]))
 
 
@@ -416,7 +430,7 @@ def _girsanov_ratio_verdicts(table, parameters):
 
 def _dds(cfg) -> ResultTable:
     return girsanov.dds_experiment(cfg["trials"], parse_fine_step(cfg["fine_step"]),
-                                   parse_float_list(cfg["parameters"]["times"]),
+                                   _option_list(cfg, "times"),
                                    RngSpec(cfg["seed"]))
 
 
@@ -442,7 +456,7 @@ def _dds_verdicts(table, parameters):
 
 def _helix(cfg) -> ResultTable:
     p = cfg["parameters"]
-    ns = parse_int_list(p["n"])
+    ns = _option_list(cfg, "n", _positive_int, "positive integers")
     try:
         target = [float(v) for v in str(p["target"]).split(",")]
     except ValueError:
@@ -482,7 +496,7 @@ def _support_verdicts(table, parameters):
 
 
 def _levy_law(cfg) -> ResultTable:
-    lambdas = parse_float_list(cfg["parameters"]["lambdas"])
+    lambdas = _option_list(cfg, "lambdas")
     for lam in lambdas:
         if abs(lam) > _MAX_MAGNITUDE:
             raise ValueError(f"invalid --lambdas: expected magnitudes of at most 1e6, got {lam:g}")

@@ -194,12 +194,21 @@ def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
     return AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn)
 
 
-# Byte budget of one chunk's paths: a worker draws one chunk at a time into a
-# private buffer of at most this size, so _CHUNK_ROWS rows fit on grids up to
-# 2^12 steps, and a finer grid gets fewer rows instead of a buffer that grows
-# with it.
+# The chunk plan (_chunk_rows). Each chunk costs a fixed amount beyond its
+# rows: its generators' keying, a pipe frame, the caller's wake-up and copy.
+# So a chunk draws at least _CHUNK_STEPS steps, those of 128 rows at 2^-10:
+# 512 rows at 2^-8, where a 45 000-trial tube scan took 0.64 s of worker CPU
+# (0.76 s with 128-row chunks) and its workers 65 involuntary context
+# switches (185), on a 2-vCPU VM. At most _CHUNK_ROWS rows, which holds 2^-6
+# and 2^-7 at 512 too; at least _CHUNK_FLOOR rows, so 2^-10 to 2^-12 keep
+# the 128 rows they had: no other count has shown an end-to-end gain there.
+# A worker draws one chunk at a time into a private buffer of at most
+# _CHUNK_BYTES, so a grid finer than 2^-12 gets fewer rows instead of a
+# buffer that grows with it.
+_CHUNK_STEPS = 1 << 17
+_CHUNK_ROWS = 512
+_CHUNK_FLOOR = 128
 _CHUNK_BYTES = 16 << 20
-_CHUNK_ROWS = 128
 _WORKERS = 2
 
 # One-byte tokens from a worker: a chunk's values follow, or the worker failed
@@ -235,8 +244,8 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) 
             kept = np.flatnonzero(keep(prefix))
             rows = rows[:kept.size]
             rows[:, :lo + 1] = prefix[kept]
-        for i, row in zip(kept.tolist(), rows):
-            generators[i].standard_normal(out=row[lo + 1:hi + 1])
+        for i, segment in zip(kept.tolist(), rows[:, lo + 1:hi + 1]):
+            generators[i].standard_normal(out=segment)
         rows[:, lo + 1:hi + 1] *= s
         # Read as one complex number per node, the running sum makes the same
         # additions in the same order, in about half the time of the real one;
@@ -244,6 +253,14 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) 
         part = rows.view(np.complex128)[:, max(lo, 1):hi + 1, 0]
         np.cumsum(part, axis=1, out=part)
     return kept
+
+
+def _chunk_rows(n_steps: int) -> int:
+    """Rows per chunk of _trial_chunks on a grid of n_steps steps: enough for
+    _CHUNK_STEPS steps, within _CHUNK_FLOOR .. _CHUNK_ROWS rows and
+    _CHUNK_BYTES bytes of paths, and at least one."""
+    rows = max(-(-_CHUNK_STEPS // n_steps), _CHUNK_FLOOR)
+    return max(1, min(rows, _CHUNK_ROWS, _CHUNK_BYTES // ((n_steps + 1) * 16)))
 
 
 def _work(values_of, starts, w, ends):
@@ -299,12 +316,12 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
 
     Row i of a chunk's paths, shape (nb, n+1, 2), holds trial start + i,
     drawn from rng.child(start + i), scaled by sqrt(h) and summed in order
-    along the time axis, so the paths do not depend on the chunk size. A
-    chunk holds at most _CHUNK_ROWS rows and at most _CHUNK_BYTES bytes of
-    paths (at least one row). reduce(paths) gets each chunk's paths as a
-    read-only array and returns a (len(paths), width) float array of
-    per-trial values; the values are what is yielded, as (start, values) in
-    trial order, each a new read-only (nb, width) array of the caller's own.
+    along the time axis, so the paths do not depend on the chunk size. Every
+    chunk but the last holds _chunk_rows(n) rows. reduce(paths) gets each
+    chunk's paths as a read-only array and returns a (len(paths), width)
+    float array of per-trial values; the values are what is yielded, as
+    (start, values) in trial order, each a new read-only (nb, width) array of
+    the caller's own.
     reduce must be deterministic per row, so the values do not depend on the
     chunk size either. With keep, the rows are drawn as _draw_rows says, and
     a row keep drops is not drawn on and not reduced: its values are +inf.
@@ -321,7 +338,7 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // ((n + 1) * 16)))
+    rows = _chunk_rows(n)
     starts = range(0, n_trials, rows)
     buffer = []  # the paths, allocated on first use: in a worker, after the fork
 

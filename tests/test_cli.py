@@ -350,6 +350,19 @@ class TestExitCodes:
         (drop,) = [a for a in assertions if a["name"] == "last-below-first-3se"]
         assert not inconclusive and drop["evaluated"] and not drop["passed"]
 
+    def test_tube_level_no_trial_reached_is_inconclusive_at_min_accepted_0(self, runner):
+        """A level with no accepted trial has no p_hat to judge, even when
+        --min-accepted asks for none: the run is INCONCLUSIVE like its table."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["tube", "--min-accepted", "0", "--trials", "50",
+                                       "--fine-step", "2^-6", "--budget", "50", "--out", "r"])
+            assert res.exit_code == 2, res.output
+            assert "[FAIL] acceptance-counts: accepted 2, 2, 0, 0 (need >= 1)" in res.output
+            assert "nan" not in res.output
+            summary = json.loads(Path("r/tube.summary.json").read_text())
+        assert summary["inconclusive"] is True and summary["meta"]["inconclusive"] is True
+        assert summary["pass"] is False
+
     def test_tube_underpowered_is_inconclusive_not_fail(self, runner):
         with runner.isolated_filesystem():
             res = runner.invoke(main, ["tube", "--phi", "line 1 0",
@@ -404,6 +417,8 @@ class TestBadInput:
         ["levy-law", "--lambdas", "1,-2e6"],
         ["ws-converge", "--deltas", "1e308"],
         ["energy-diverge", "--wz-delta", "1e308"],
+        ["levy-law", "--lambdas", "-1"],
+        ["helix", "--n", "x"],
     ])
     def test_one_line_error_not_traceback(self, runner, argv):
         with runner.isolated_filesystem():
@@ -411,6 +426,22 @@ class TestBadInput:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["levy-law", "--lambdas", "-1"], "--lambdas: expected positive finite numbers, got '-1'"),
+        (["dds-diagnostics", "--times", "nan"],
+         "--times: expected positive finite numbers, got 'nan'"),
+        (["tube", "--deltas", "0.9,abc"],
+         "--deltas: expected positive finite numbers, got '0.9,abc'"),
+        (["energy-diverge", "--steps", ""], "--steps: expected positive finite numbers, got ''"),
+        (["helix", "--n", "x"], "--n: expected positive integers, got 'x'"),
+        (["helix", "--n", "4,0"], "--n: expected positive integers, got '4,0'"),
+    ])
+    def test_a_bad_list_names_its_option(self, runner, argv, expected):
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, [*argv, "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert res.output == f"Error: invalid {expected}\n"
 
     def test_out_of_memory_is_a_one_line_error(self, runner, monkeypatch):
         def exhausted(*args):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heis import girsanov, group
+from heis import girsanov, group, sde
 from heis.girsanov import (
     ConsistencyError,
     ReferenceCurve,
@@ -350,6 +350,17 @@ class TestTubeScan:
         np.testing.assert_array_equal(below, np.count_nonzero(acc & (dist < epsilon), axis=0))
         np.testing.assert_array_equal(above, np.count_nonzero(acc & (dist > epsilon), axis=0))
 
+    def test_counts_do_not_depend_on_the_chunk_plan(self, monkeypatch):
+        """On a 2^-8 grid, four 512-row chunks and 286 of 7 rows count alike."""
+        phi, grid = ReferenceCurve.line(1.0, 0.0), TimeGrid.uniform(256)
+        deltas, rng = [1.0, 0.9, 0.8, 0.7], RngSpec(23)
+        assert sde._chunk_rows(256) == 512
+        default = girsanov._tube_scan(phi, 2000, rng, grid, deltas, 0.9)
+        monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
+        small = girsanov._tube_scan(phi, 2000, rng, grid, deltas, 0.9)
+        assert default[0][-1] > 0
+        for a, b in zip(default, small):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
     def test_epsilon_must_be_positive_and_finite(self, epsilon):

@@ -354,12 +354,13 @@ def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork
 def test_caller_assisted_chunks_match_per_trial_generators(chunk, monkeypatch):
     """On a 1024-step grid, where the caller once drew blocks of the chunks
     it waited for, and with enough chunks that each worker sends many, the
-    rows are still the per-trial reference bit for bit."""
+    rows are still the per-trial reference bit for bit. A cap above the
+    128 rows of a 2^-10 chunk leaves them at 128."""
     monkeypatch.setattr(sde, "_CHUNK_ROWS", chunk)
     grid = TimeGrid.uniform(1024)
     rng = RngSpec(29, 11)
     items = _drawn(grid, rng, 300)
-    assert [start for start, _ in items] == list(range(0, 300, chunk))
+    assert [start for start, _ in items] == list(range(0, 300, min(chunk, 128)))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, 300))
 
@@ -520,6 +521,23 @@ def test_a_killed_scan_leaves_no_worker():
             os.killpg(proc.pid, signal.SIGKILL)  # stragglers of a failed check
         except ProcessLookupError:
             pass
+
+
+@pytest.mark.parametrize("k, rows", [(0, 512), (6, 512), (7, 512), (8, 512), (9, 256),
+                                     (10, 128), (12, 128), (13, 127), (18, 3), (20, 1)])
+def test_chunk_plan_draws_the_steps_of_a_2_to_the_minus_10_chunk(k, rows):
+    """A coarse grid's chunk draws at least the 2^17 steps of 128 rows at
+    2^-10, up to 512 rows; 2^-10 and finer keep 128 rows while their paths
+    fit 16 MB, then fewer, and at least one."""
+    assert sde._chunk_rows(2 ** k) == rows
+
+
+def test_a_patched_cap_sets_the_rows_of_a_coarse_grid(monkeypatch):
+    """The tests that patch _CHUNK_ROWS still get several chunks at 2^-6."""
+    monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
+    assert sde._chunk_rows(64) == 7
+    items = _drawn(TimeGrid.uniform(64), RngSpec(5), 20)
+    assert [start for start, _ in items] == [0, 7, 14]
 
 
 def test_trial_chunks_stay_within_byte_budget():

@@ -18,12 +18,13 @@ end-to-end metrics (the names, units and directions of BENCHMARK.json), its
 operation counts, the host's steal share over the run, read from the
 aggregate cpu line of /proc/stat, its CPU seconds: the user plus system
 time of every process the run started and reaped (its operations, their
-trial workers and the calibrations), and the minor page faults of those
-processes, both from getrusage(RUSAGE_CHILDREN), and the medians of the raw
-import_s and of the calibration over the run's operations, parsed from
-run.py's `op N: ...` stderr lines: perfbench scales setup_s (and every time)
-by the calibration, so a setup_s move with an unmoved raw import is the
-calibration's. The output keeps BENCH_6.json's layout:
+trial workers and the calibrations), the minor page faults and the
+involuntary context switches of those processes, all three from
+getrusage(RUSAGE_CHILDREN), and the medians of the raw import_s and of the
+calibration over the run's operations, parsed from run.py's `op N: ...`
+stderr lines: perfbench scales setup_s (and every time) by the calibration,
+so a setup_s move with an unmoved raw import is the calibration's. The
+output keeps BENCH_6.json's layout:
 per workload the runs of each side, their median and quartiles, the pairs the
 change won, the median change and the median gap over the parent's
 interquartile range. A run that exits non-zero is recorded with its exit
@@ -99,10 +100,10 @@ def copy_worktree(dest):
 
 
 def children_usage():
-    """User plus system seconds, and minor page faults, of every reaped
-    descendant so far."""
+    """User plus system seconds, minor page faults and involuntary context
+    switches of every reaped descendant so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt, usage.ru_nivcsw
 
 
 def stderr_medians(stderr):
@@ -121,24 +122,25 @@ def stderr_medians(stderr):
 
 def run_once(checkout, workload, seed, seconds):
     """One perfbench run: its JSON result line (None if it crashed), the steal
-    share over it, its CPU seconds, its minor page faults, its stderr_medians
-    and, for a crash, its exit code and stderr tail."""
-    before, (cpu_before, faults_before) = host_jiffies(), children_usage()
+    share over it, the children_usage it added, its stderr_medians and, for
+    a crash, its exit code and stderr tail."""
+    before, usage_before = host_jiffies(), children_usage()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    after, (cpu, faults) = host_jiffies(), children_usage()
-    cpu, faults = round(cpu - cpu_before, 3), faults - faults_before
+    after, usage = host_jiffies(), children_usage()
+    cpu, faults, nivcsw = (b - a for a, b in zip(usage_before, usage))
+    usage = round(cpu, 3), faults, nivcsw
     steal = None
     if before and after and after[1] > before[1]:
         steal = round((after[0] - before[0]) / (after[1] - before[1]), 4)
     lines = proc.stdout.strip().splitlines()
     raw = stderr_medians(proc.stderr)
     if proc.returncode != 0 or not lines:
-        return None, steal, cpu, faults, raw, {"seed": seed, "returncode": proc.returncode,
-                                               "stderr_tail": proc.stderr[-2000:]}
-    return json.loads(lines[-1]), steal, cpu, faults, raw, None
+        return None, steal, usage, raw, {"seed": seed, "returncode": proc.returncode,
+                                         "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(lines[-1]), steal, usage, raw, None
 
 
 def summarize(values):
@@ -171,6 +173,7 @@ def bench_set(sides, workload, seeds, seconds, specs):
     steal = {"parent": [], "change": []}
     cpu = {"parent": [], "change": []}
     minflt = {"parent": [], "change": []}
+    nivcsw = {"parent": [], "change": []}
     raw = {"parent": [], "change": []}
     crashed = {"parent": [], "change": []}
     first = []
@@ -178,13 +181,14 @@ def bench_set(sides, workload, seeds, seconds, specs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
-            result, share, cpu_s, faults, medians, crash = run_once(
+            result, share, (cpu_s, faults, switches), medians, crash = run_once(
                 sides[side], workload, seed, seconds)
             runs[side].append(result)
             raw[side].append(medians)
             steal[side].append(share)
             cpu[side].append(cpu_s)
             minflt[side].append(faults)
+            nivcsw[side].append(switches)
             if crash:
                 crashed[side].append(crash)
                 print(f"{workload} seed {seed} {side}: exit {crash['returncode']}",
@@ -205,6 +209,10 @@ def bench_set(sides, workload, seeds, seconds, specs):
     def each(key):
         return {s: [r[key] if r else None for r in rs] for s, rs in runs.items()}
 
+    def per_op(totals, digits=None):
+        return {s: [round(t / r["attempted"], digits) if r and r["attempted"] else None
+                    for t, r in zip(totals[s], runs[s])] for s in totals}
+
     return {
         "workload": workload,
         "seeds": seeds,
@@ -217,11 +225,11 @@ def bench_set(sides, workload, seeds, seconds, specs):
         "crashed": crashed,
         "steal_share": steal,
         "cpu_s": cpu,
-        "cpu_s_per_op": {s: [round(c / r["attempted"], 3) if r and r["attempted"] else None
-                             for c, r in zip(cpu[s], runs[s])] for s in cpu},
+        "cpu_s_per_op": per_op(cpu, 3),
         "minflt": minflt,
-        "minflt_per_op": {s: [round(f / r["attempted"]) if r and r["attempted"] else None
-                              for f, r in zip(minflt[s], runs[s])] for s in minflt},
+        "minflt_per_op": per_op(minflt),
+        "nivcsw": nivcsw,
+        "nivcsw_per_op": per_op(nivcsw, 1),
         "import_s_raw_median": {s: [m["import_s"] for m in ms] for s, ms in raw.items()},
         "calibration_s_median": {s: [m["calibration_s"] for m in ms] for s, ms in raw.items()},
         "metrics": metrics,
@@ -267,6 +275,8 @@ def main():
                   "grows with the operations that fit the run, so cpu_s_per_op divides it "
                   "by attempted_ops; minflt is the minor page faults of the same processes "
                   "(ru_minflt of RUSAGE_CHILDREN), and minflt_per_op divides it likewise; "
+                  "nivcsw is their involuntary context switches (ru_nivcsw), and "
+                  "nivcsw_per_op divides it likewise; "
                   "import_s_raw_median and calibration_s_median are per run the medians of "
                   "the unscaled import seconds and of the calibration seconds that run.py "
                   "prints per operation on stderr; run.py scales setup_s by the calibration",
