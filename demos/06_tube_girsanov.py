@@ -66,10 +66,9 @@ def main():
     print()
     print("tube probability around phi: mean shift vs rejection:")
     n_half = args.trials // 2
-    shift = girsanov_shift_sampler(phi, n_half, RngSpec(args.seed + 1), FINE)
+    shift = girsanov_shift_sampler(phi, [1.0, 0.7], n_half, RngSpec(args.seed + 1), FINE)
     grid = TimeGrid.uniform(round(1.0 / FINE))
-    for delta in (1.0, 0.7):
-        sp, sp_se = shift.tube_probability(delta)
+    for delta, sp, sp_se, _, _ in shift.rows:
         rp, rp_se = rejection_tube_probability(
             phi, delta, n_half, RngSpec(args.seed + 2), grid
         )

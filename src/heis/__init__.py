@@ -49,7 +49,6 @@ from .sde import (
 from .girsanov import (
     ConsistencyError,
     ReferenceCurve,
-    ShiftSamplerResult,
     dds_experiment,
     distance_to_curve,
     girsanov_ratio_experiment,

@@ -107,17 +107,6 @@ def parse_fine_step(text) -> float:
     return v
 
 
-def _parse_list(text, parse):
-    values = [parse(tok) for tok in str(text).split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"expected a comma-separated list, got {text!r}")
-    return values
-
-
-def parse_float_list(text):
-    return _parse_list(text, parse_dyadic)
-
-
 def _positive_int(text) -> int:
     v = int(text)
     if v < 1:
@@ -129,9 +118,12 @@ def _option_list(cfg, key, parse=parse_dyadic, expected="positive finite numbers
     """The list the option --key gives, or a one-line error that names it."""
     text = cfg["parameters"][key]
     try:
-        return _parse_list(text, parse)
+        values = [parse(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"invalid --{key}: expected {expected}, got {text!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"invalid --{key}: expected {expected}, got {text!r}")
+    return values
 
 
 def config_hash(cfg: dict, experiment: str) -> str:
@@ -235,10 +227,7 @@ def resolve_config(experiment: str, config_file, seed, trials, fine_step, overri
 
 def _finish(out, experiment, cfg, assertions, inconclusive, write_csv, meta=None, started=None):
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{experiment}.csv"
-    with open(csv_path, "w") as fh:
-        write_csv(fh)
     all_pass = all(a["passed"] for a in assertions)
     summary = {
         "config": _json_safe(cfg),
@@ -248,11 +237,18 @@ def _finish(out, experiment, cfg, assertions, inconclusive, write_csv, meta=None
         "inconclusive": bool(inconclusive),
         "meta": _json_safe(meta or {}),
     }
-    if started is not None:
-        summary["wall_clock_s"] = round(time.perf_counter() - started, 3)
-    with open(out_dir / f"{experiment}.summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # an --out that cannot be written (a file in the way, a full disk) is one error line
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w") as fh:
+            write_csv(fh)
+        if started is not None:
+            summary["wall_clock_s"] = round(time.perf_counter() - started, 3)
+        with open(out_dir / f"{experiment}.summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write --out {out!r}: {exc.strerror or exc}")
     for a in assertions:
         click.echo(f"[{_status(a)}] {a['name']}: {a['detail']}")
     # an underpowered run is not a refutation: inconclusive wins over FAIL
@@ -274,7 +270,8 @@ def harness_options(f):
                      help="Output directory."),
         click.option("--fine-step", default=None, help="Dyadic step 2^-K, 6<=K<=20."),
         click.option("--trials", type=int, default=None, help="Monte-Carlo trials."),
-        click.option("--seed", type=int, default=None, help="Base RNG seed."),
+        click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=None,
+                     help="Base RNG seed, in [0, 2^64)."),
     ):
         f = opt(f)
     return f

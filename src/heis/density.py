@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, group_distance_array, omega
-from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift
+from .girsanov import ReferenceCurve
+from .group import GroupElement, group_distance_array, omega, quotient_z_array
+from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift, path_distance
 from .results import ResultTable
 
 _VARIANTS = ("identity", "verbatim")
@@ -129,36 +130,21 @@ def _verbatim_functions(a1, a2, a3, n):
     return x_fn, dx_fn, z_fn, dz_fn
 
 
-def _straight_lift(a1, a2, grid: TimeGrid) -> HorizontalCurve:
-    def x_fn(t):
-        t = np.asarray(t, float)
-        return np.stack([a1 * t, a2 * t], axis=-1)
-
-    def dx_fn(t):
-        t = np.asarray(t, float)
-        return np.stack([np.full_like(t, a1), np.full_like(t, a2)], axis=-1)
-
-    zeros = lambda t: np.zeros(np.shape(t))  # noqa: E731
-    return horizontal_lift(x_fn, grid, dx_fn=dx_fn, z_fn=zeros, dz_fn=zeros)
-
-
 def helix_linear(spec: HelixSpec, n_steps: int = 0) -> HorizontalCurve:
     """Helix of index n against the linear target (a1 t, a2 t, a3 t).
 
-    a3 = 0 short-circuits to the straight horizontal lift of (a1 t, a2 t).
+    a3 = 0 short-circuits to the straight horizontal lift of (a1 t, a2 t),
+    that of ReferenceCurve.line.
     """
     grid = TimeGrid.uniform(n_steps or helix_grid_steps(spec))
     if spec.a3 == 0.0:
-        return _straight_lift(spec.a1, spec.a2, grid)
+        return ReferenceCurve.line(spec.a1, spec.a2).lift(grid)
     if spec.variant == "identity":
         nu = spec.n ** 2 * spec.a3
         fns = _helix_functions(spec.a1, spec.a2, spec.a3, 2.0 / spec.n, 1.0 / spec.n, nu)
         return horizontal_lift(fns[0], grid, dx_fn=fns[1], z_fn=fns[2], dz_fn=fns[3])
     x_fn, dx_fn, z_fn, dz_fn = _verbatim_functions(spec.a1, spec.a2, spec.a3, spec.n)
-    times = grid.times
-    nodes = x_fn(times)
-    slope = np.diff(nodes, axis=0) / np.diff(times)[:, None]
-    return HorizontalCurve(grid, nodes, slope, z_fn(times),
+    return HorizontalCurve(grid, x_fn(grid.times), z_fn(grid.times),
                            AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn))
 
 
@@ -194,8 +180,7 @@ def verbatim_quotient_nodes(spec: HelixSpec, times: np.ndarray):
 def quotient_nodes(curve_planar, curve_z, target_planar, target_z):
     """Nodewise group quotient curve^{-1} * target as coordinate arrays."""
     planar = target_planar - curve_planar
-    z = target_z - curve_z - 0.5 * omega(curve_planar, target_planar)
-    return planar, z
+    return planar, quotient_z_array(curve_planar, curve_z, target_planar, target_z)
 
 
 def helix_distance(spec: HelixSpec, n_steps: int = 0) -> float:
@@ -275,14 +260,10 @@ def approximate_path(target: SampledPath, n: int, segments: int) -> Approximatio
     """
     if target.interpolation != "linear":
         raise ValueError("target must be a piecewise-linear sample")
-    if target.planar[0, 0] != 0.0 or target.planar[0, 1] != 0.0 or target.z[0] != 0.0:
-        raise ValueError("target must start at the identity")
     if segments < 1:
         raise ValueError("segments must be positive")
-    ends = np.linspace(0.0, 1.0, segments + 1)
-    tp = np.stack([np.interp(ends, target.grid.times, target.planar[:, 0]),
-                   np.interp(ends, target.grid.times, target.planar[:, 1])], axis=-1)
-    tz = np.interp(ends, target.grid.times, target.z)
+    knots = target.resample(np.linspace(0.0, 1.0, segments + 1))
+    tp, tz = knots.planar, knots.z
     dv = np.diff(tp, axis=0)
     # group increment of the interpolant: a3 is the vertical gap left over
     # after the chord's own lift
@@ -301,10 +282,7 @@ def approximate_path(target: SampledPath, n: int, segments: int) -> Approximatio
         planar[j * sub + 1:(j + 1) * sub + 1] = planar[j * sub] + xp[1:]
     grid = TimeGrid.uniform(total)
     curve = horizontal_lift(planar, grid)
-    ref_p = np.stack([np.interp(grid.times, target.grid.times, target.planar[:, 0]),
-                      np.interp(grid.times, target.grid.times, target.planar[:, 1])], axis=-1)
-    ref_z = np.interp(grid.times, target.grid.times, target.z)
-    dist = float(np.max(group_distance_array(curve.planar, curve.lifted_z, ref_p, ref_z)))
+    dist = path_distance(curve.sample(), target.resample(grid.times))
     return ApproximationResult(curve, dist, int(n), int(segments))
 
 

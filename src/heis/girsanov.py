@@ -9,13 +9,14 @@ quantities:
     each chunk of trials to integer counts per radius, so their memory does
     not grow with the trial count. Like every estimate here, it hands the
     trial workers of sde._trial_chunks a reduce that turns each path into a
-    few values, so the paths never leave the workers. Every conditioned estimate returns a
-    ResultTable: a level that no trial reaches is a NaN row that marks the
-    table inconclusive, even when every level is empty;
+    few values, so the paths never leave the workers. Every conditioned
+    estimate returns a ResultTable: a level that no trial reaches is a NaN
+    row that marks the table inconclusive, even when every level is empty;
   - the mean-shift sampler: simulate centered paths, translate by phi, weight
-    with the finite-grid likelihood ratio. It serves as a cross-check of the
-    tube probability; the shift does not remove the small-ball cost, because
-    the acceptance event becomes the centered tube.
+    with the finite-grid likelihood ratio. It returns a ResultTable of tube
+    probabilities, one row per radius, and serves as a cross-check of the
+    rejection estimate; the shift does not remove the small-ball cost,
+    because the acceptance event becomes the centered tube.
 
 Stochastic integrals are left-point sums on the fine grid. The martingale
 weight uses the exact integral of |phi'|^2 for its compensator. The shift
@@ -29,8 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import group
-from .group import _HELD, _LEAF, _area_into, _scratch, group_distance_array, sq_norm
+from .group import _HELD, _LEAF, _area_into, _row_blocks, _scratch, group_distance_array, sq_norm
 from .paths import HorizontalCurve, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
@@ -108,24 +108,22 @@ class ReferenceCurve:
 def _increment_sums(coef: np.ndarray, planar: np.ndarray) -> np.ndarray:
     """sum_k <coef_k, B_{k+1} - B_k> per path of planar, shape (..., n+1, 2).
 
-    Works through blocks of whole rows that fit in _AREA_BLOCK elements (at
-    least one row), in pooled scratch (slot _LEAF), so a batch takes its
-    result and no whole-batch temporaries. Each row's sum makes the
-    operations of np.sum(coef * np.diff(planar, axis=-2), axis=(-2, -1)) in
-    the same order, so every value is bitwise the same.
+    Works through the blocks of group._row_blocks, in pooled scratch (slot
+    _LEAF), so a batch takes its result and no whole-batch temporaries. Each
+    row's sum makes the operations of
+    np.sum(coef * np.diff(planar, axis=-2), axis=(-2, -1)) in the same order,
+    so every value is bitwise the same.
     """
     planar = np.asarray(planar)
     *lead, n1, _ = planar.shape
     flat = planar.reshape(-1, n1, 2)
     out = np.empty(flat.shape[0])
-    rows = max(1, group._AREA_BLOCK // (2 * n1))
-    scratch = _scratch(_LEAF, (min(rows, flat.shape[0]), n1 - 1, 2))
-    for r in range(0, flat.shape[0], rows):
-        p = flat[r:r + rows]
-        d = scratch[:p.shape[0]]
+    for rows in _row_blocks(flat.shape[0], 2 * n1):
+        p = flat[rows]
+        d = _scratch(_LEAF, (p.shape[0], n1 - 1, 2))
         np.subtract(p[:, 1:], p[:, :-1], out=d)
         np.multiply(coef, d, out=d)
-        np.sum(d, axis=(-2, -1), out=out[r:r + rows])
+        np.sum(d, axis=(-2, -1), out=out[rows])
     return out.reshape(lead)[()]
 
 
@@ -304,40 +302,43 @@ def tube_decay_experiment(
     )
 
 
-@dataclass(frozen=True)
-class ShiftSamplerResult:
-    """Weighted samples from the mean-shift proposal B + phi."""
-
-    phi_label: str
-    weights: np.ndarray  # finite-grid likelihood ratio per trial
-    centered_dev: np.ndarray  # sup |B| per trial (tube event after shifting)
-    seed: int
-
-    def tube_probability(self, delta: float):
-        """Estimate of P(sup |B - phi| < delta) by shift plus weight."""
-        vals = self.weights * (self.centered_dev < delta)
-        return mean_and_stderr(vals)
-
-
 def girsanov_shift_sampler(
     phi: ReferenceCurve,
+    deltas,
     n_trials: int,
     rng: RngSpec,
     fine_step: float = 2.0 ** -10,
-) -> ShiftSamplerResult:
-    """Simulate centered B and weight it by the discrete likelihood of B + phi.
+) -> ResultTable:
+    """P(sup |B - phi| < delta) over a delta ladder, by shift plus weight.
 
-    The shifted path leaves the tube around phi exactly when B leaves the
-    centered tube, so each trial keeps its weight and sup |B|.
+    Simulates centered B and weights it by the discrete likelihood of
+    B + phi. The shifted path leaves the tube around phi exactly when B
+    leaves the centered tube, so each trial gives its weight and sup |B|,
+    capped at the widest radius as in _tube_scan. A row's estimate is the
+    mean of weight * (sup |B| < delta) over every trial, with its stderr.
+    The weights are positive and the acceptance sets nested, so the
+    estimates never increase as delta shrinks.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     origin = ReferenceCurve.zero()
+    widest = max(float(d) for d in deltas)
 
     def reduce(paths):
-        return np.stack([shift_weight(phi, paths, grid), tube_deviation(origin, paths, grid)], axis=1)
+        return np.stack([shift_weight(phi, paths, grid),
+                         tube_deviation(origin, paths, grid, cap=widest)], axis=1)
 
     values = _trial_values(grid, rng, n_trials, reduce, 2)
-    return ShiftSamplerResult(phi.label, values[:, 0].copy(), values[:, 1].copy(), rng.seed)
+    weights, dev = values[:, 0], values[:, 1]
+    rows = []
+    for d in deltas:
+        est, se = mean_and_stderr(weights * (dev < float(d)))
+        rows.append((float(d), est, se, n_trials, rng.seed))
+    return ResultTable(
+        ["delta", "estimate", "stderr", "total", "seed"],
+        rows,
+        {"experiment": "girsanov-shift", "phi": phi.label, "seed": rng.seed,
+         "fine_step": fine_step, "n_trials": n_trials},
+    )
 
 
 def girsanov_ratio_experiment(
@@ -417,17 +418,17 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
 
     planar (..., n+1, 2) holds m trials; the result has shape (m, 4 len(idx)).
     A is the Levy area, tau the quarter integral of |B|^2 by the trapezoid
-    rule. One pass over blocks of whole rows, as many as fit in _AREA_BLOCK
-    elements and at least one, each copied time-major into pooled scratch
-    (slot _HELD) as planes (x, y, increments) of shape (nodes, rows): _area_into
-    writes the area increments into the third plane, |B|^2 as sq_norm forms
-    it goes into x, and the trapezoid terms 0.5 * (|B_k|^2 + |B_{k+1}|^2) * h
-    into y. The running sums at the nodes idx, in sorted order, are
-    reductions over the node axis, each started from the sum at the previous
-    node, written into that node's consumed slot; these are cumsum's
-    additions in its order, vectorised across rows (the -0.0 start is exact
-    for any first term, the sign of zero included). Node 0 gives 0. Every
-    value is bitwise that of levy_area and the trapezoid cumsum.
+    rule. One pass over the blocks of group._row_blocks, each copied
+    time-major into pooled scratch (slot _HELD) as planes (x, y, increments)
+    of shape (nodes, rows): _area_into writes the area increments into the
+    third plane, |B|^2 as sq_norm forms it goes into x, and the trapezoid
+    terms 0.5 * (|B_k|^2 + |B_{k+1}|^2) * h into y. The running sums at the
+    nodes idx, in sorted order, are reductions over the node axis, each
+    started from the sum at the previous node, written into that node's
+    consumed slot; these are cumsum's additions in its order, vectorised
+    across rows (the -0.0 start is exact for any first term, the sign of
+    zero included). Node 0 gives 0. Every value is bitwise that of levy_area
+    and the trapezoid cumsum.
     """
     planar = planar.reshape(-1, *planar.shape[-2:])
     m, n1, _ = planar.shape
@@ -436,9 +437,8 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
     out[:, 2 * k:] = planar[:, idx].reshape(m, 2 * k)
     nodes = np.unique(idx)
     nodes = nodes[nodes > 0].tolist()
-    rows = max(1, group._AREA_BLOCK // (3 * n1))
-    for r in range(0, m, rows):
-        p = planar[r:r + rows]
+    for rows in _row_blocks(m, 3 * n1):
+        p = planar[rows]
         # A lone row would collapse the row axis, and numpy would then sum the
         # node axis pairwise: it is broadcast into two columns instead.
         cols = max(2, p.shape[0])
@@ -460,7 +460,7 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
             sums[:, j] = acc
             start = j
         sums[:, 0] = 0.0
-        o = out[r:r + rows]
+        o = out[rows]
         o[:, :k] = area[idx, :p.shape[0]].T
         np.multiply(clock[idx, :p.shape[0]].T, 0.25, out=o[:, k:2 * k])
     return out

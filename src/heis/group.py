@@ -33,7 +33,8 @@ def omega(u, w):
 # Elements of one block of the blocked kernels (_area_into, the Ito sums of
 # heis.girsanov, the dds clock): 512 KB of float64 (one row for longer
 # paths), so a batch takes its output plus pooled scratch, not whole-batch
-# temporaries. Every kernel reads it from this module when it runs.
+# temporaries. Every kernel plans its blocks with _row_blocks, which reads it
+# when it is called.
 _AREA_BLOCK = 1 << 16
 
 # The blocked kernels' scratch, one buffer per slot, grown on demand and kept.
@@ -60,27 +61,33 @@ def _scratch(slot: int, shape, dtype=np.float64) -> np.ndarray:
     return _SCRATCH[slot].view(np.uint8)[:size].view(dtype).reshape(shape)
 
 
+def _row_blocks(m: int, per_row: int) -> list:
+    """Slices of an m-row batch into blocks of whole rows, as many as fit in
+    _AREA_BLOCK elements of per_row each and at least one: the one plan of
+    every blocked kernel. _AREA_BLOCK is read at each call."""
+    rows = max(1, _AREA_BLOCK // per_row)
+    return [slice(r, r + rows) for r in range(0, m, rows)]
+
+
 def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
     """Write omega(B_k, dB_k)/2 of planar, shape (m, n+1, 2), into out, (m, n).
 
     The left-point area increments of piecewise-linear planar paths, the one
     implementation behind the Brownian Levy area and the horizontal lift.
-    Works through blocks of whole rows, as many as fit in _AREA_BLOCK
-    elements and at least one: dy goes into out, dx into pooled scratch
-    (slot _LEAF), and x dy - dx y and the halving happen in place. These are
-    the operations of 0.5 * omega(B[:-1], diff(B)) in the same order, so
-    every value is bitwise the same. out may be any float64 view; dx is laid
-    out in out's memory order, row-major or, when out's rows are its shorter
-    stride (a time-major view), node-major.
+    Works through the blocks of _row_blocks: dy goes into out, dx into
+    pooled scratch (slot _LEAF), and x dy - dx y and the halving happen in
+    place. These are the operations of 0.5 * omega(B[:-1], diff(B)) in the
+    same order, so every value is bitwise the same. out may be any float64
+    view; dx is laid out in out's memory order, row-major or, when out's
+    rows are its shorter stride (a time-major view), node-major.
     """
     m, n = out.shape
     if m == 0 or n == 0:
         return
-    rows = max(1, _AREA_BLOCK // n)
     time_major = out.strides[0] < out.strides[1]
-    for r in range(0, m, rows):
-        p = planar[r:r + rows]
-        o = out[r:r + rows]
+    for rows in _row_blocks(m, n):
+        p = planar[rows]
+        o = out[rows]
         dx = _scratch(_LEAF, (n, len(o))).T if time_major else _scratch(_LEAF, (len(o), n))
         x, y = p[:, :-1, 0], p[:, :-1, 1]
         np.subtract(p[:, 1:, 1], y, out=o)
@@ -224,5 +231,4 @@ def group_distance_array(planar_a, z_a, planar_b, z_b):
     """|a^{-1} b| pointwise over batches of elements."""
     dv = planar_b - planar_a
     dz = quotient_z_array(planar_a, z_a, planar_b, z_b)
-    sq = sq_norm(dv)
-    return (sq * sq + dz * dz) ** 0.25
+    return homogeneous_norm_array(dv, dz)

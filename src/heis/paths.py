@@ -2,9 +2,9 @@
 
 Paths are stored at grid nodes with a declared interpolation class.
 SampledPath is the generic container (piecewise-linear or node-only);
-HorizontalCurve additionally carries per-interval planar slopes and a lifted
-vertical component, and may carry an analytic backend (vectorized callables)
-when the curve has closed-form pieces.
+HorizontalCurve carries planar nodes and a lifted vertical component, and may
+carry an analytic backend (vectorized callables) when the curve has
+closed-form pieces.
 
 Horizontality means z'(t) = omega(x(t), x'(t)) / 2 along the curve. For a
 piecewise-linear planar path the lift has the exact per-interval increment
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import AlgebraElement, GroupElement, _area_into, group_distance_array, omega, sq_norm
+from .group import AlgebraElement, GroupElement, _area_into, group_distance_array, mul_array, omega, sq_norm
 
 
 class GridMismatchError(ValueError):
@@ -154,7 +154,7 @@ class AnalyticBundle:
 
 @dataclass(frozen=True)
 class HorizontalCurve:
-    """Horizontal curve: planar nodes, per-interval slopes, lifted vertical.
+    """Horizontal curve: planar nodes and the lifted vertical component.
 
     With no analytic backend the curve is read as piecewise-linear and
     lifted_z must be the exact per-interval lift. With a backend, the arrays
@@ -163,19 +163,16 @@ class HorizontalCurve:
 
     grid: TimeGrid
     planar: np.ndarray  # (n+1, 2)
-    planar_slope: np.ndarray  # (n, 2)
     lifted_z: np.ndarray  # (n+1,)
     analytic: Optional[AnalyticBundle] = None
 
     def __post_init__(self):
         planar = _freeze(self.planar)
-        slope = _freeze(self.planar_slope)
         z = _freeze(self.lifted_z)
         n = self.grid.times.size
-        if planar.shape != (n, 2) or slope.shape != (n - 1, 2) or z.shape != (n,):
+        if planar.shape != (n, 2) or z.shape != (n,):
             raise ValueError("value arrays do not match the grid")
         object.__setattr__(self, "planar", planar)
-        object.__setattr__(self, "planar_slope", slope)
         object.__setattr__(self, "lifted_z", z)
 
     @property
@@ -210,13 +207,10 @@ def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
         raise ValueError("planar nodes do not match the grid")
     if nodes[0, 0] != 0.0 or nodes[0, 1] != 0.0:
         raise ValueError("planar path must start at 0")
-    dt = np.diff(grid.times)
-    dx = np.diff(nodes, axis=0)
-    slope = dx / dt[:, None]
     z = np.zeros(nodes.shape[0])
     _area_into(nodes[None], z[None, 1:])
     np.cumsum(z[1:], out=z[1:])
-    return HorizontalCurve(grid, nodes, slope, z)
+    return HorizontalCurve(grid, nodes, z)
 
 
 def _gl_sample_times(grid: TimeGrid):
@@ -236,8 +230,6 @@ def _lift_analytic(x_fn, dx_fn, grid, z_fn, dz_fn):
         raise ValueError("x_fn must return shape (len(times), 2)")
     if nodes[0, 0] != 0.0 or nodes[0, 1] != 0.0:
         raise ValueError("planar path must start at 0")
-    dt = np.diff(times)
-    slope = np.diff(nodes, axis=0) / dt[:, None]
     if z_fn is None:
         tt, ww = _gl_sample_times(grid)
         integrand = 0.5 * omega(x_fn(tt.ravel()), dx_fn(tt.ravel()))
@@ -250,14 +242,13 @@ def _lift_analytic(x_fn, dx_fn, grid, z_fn, dz_fn):
     if dz_fn is None:
         dz_fn = lambda t: 0.5 * omega(x_fn(t), dx_fn(t))  # noqa: E731
     bundle = AnalyticBundle(x_fn, dx_fn, z_eval, dz_fn)
-    return HorizontalCurve(grid, nodes, slope, z, bundle)
+    return HorizontalCurve(grid, nodes, z, bundle)
 
 
 def left_translate_curve(k: GroupElement, c: HorizontalCurve) -> HorizontalCurve:
     """The curve t -> k * c(t); left translation preserves horizontality."""
     kp = np.array([k.x, k.y])
-    planar = kp + c.planar
-    z = k.z + c.lifted_z + 0.5 * omega(kp, c.planar)
+    planar, z = mul_array(kp, k.z, c.planar, c.lifted_z)
     analytic = None
     if c.analytic is not None:
         a = c.analytic
@@ -267,7 +258,7 @@ def left_translate_curve(k: GroupElement, c: HorizontalCurve) -> HorizontalCurve
             z_fn=lambda t, a=a: k.z + a.z_fn(t) + 0.5 * omega(kp, a.x_fn(t)),
             dz_fn=lambda t, a=a: a.dz_fn(t) + 0.5 * omega(kp, a.dx_fn(t)),
         )
-    return HorizontalCurve(c.grid, planar, c.planar_slope, z, analytic)
+    return HorizontalCurve(c.grid, planar, z, analytic)
 
 
 def path_distance(p: SampledPath, q: SampledPath) -> float:

@@ -16,8 +16,8 @@ Conventions fixed here and relied on by the tests:
     and the source knows nothing of what keep tests;
   - the reduces' kernels (the area, the levy-law row sums, the Ito sums and
     the dds clock of heis.girsanov, which copies its rows time-major) work
-    through blocks of whole rows in heis.group's per-process scratch pool,
-    so a worker reuses the same pages chunk after chunk;
+    through the row blocks of group._row_blocks in heis.group's per-process
+    scratch pool, so a worker reuses the same pages chunk after chunk;
   - aggregation is plain ordered numpy reduction over the trial axis.
 """
 
@@ -30,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import group
-from .group import _HELD, _area_into, _scratch, group_distance_array, omega
+from .group import _HELD, _area_into, _row_blocks, _scratch, group_distance_array, omega
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
@@ -159,11 +158,10 @@ def wong_zakai(sample: SampledPath, delta: float, interpolant: Interpolant = LIN
     grid = sample.grid
     m = _coarse_factor(grid, delta)
     fine_planar, fine_area = _wz_fine(sample.planar, m, interpolant)
-    slope = np.diff(fine_planar, axis=0) / np.diff(grid.times)[:, None]
     bundle = None
     if interpolant is not LINEAR:
         bundle = _wz_bundle(grid, sample.planar[::m], delta, interpolant, fine_area)
-    return HorizontalCurve(grid, fine_planar, slope, fine_area, bundle)
+    return HorizontalCurve(grid, fine_planar, fine_area, bundle)
 
 
 def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
@@ -204,7 +202,9 @@ def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
 # the 128 rows they had: no other count has shown an end-to-end gain there.
 # A worker draws one chunk at a time into a private buffer of at most
 # _CHUNK_BYTES, so a grid finer than 2^-12 gets fewer rows instead of a
-# buffer that grows with it.
+# buffer that grows with it. A pass holds at least eight chunks (or one per
+# trial), so a short pass on a coarse grid does not map a 512-row buffer in
+# each worker for one chunk: 1 000 trials at 2^-8 draw 125-row chunks.
 _CHUNK_STEPS = 1 << 17
 _CHUNK_ROWS = 512
 _CHUNK_FLOOR = 128
@@ -255,12 +255,14 @@ def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) 
     return kept
 
 
-def _chunk_rows(n_steps: int) -> int:
-    """Rows per chunk of _trial_chunks on a grid of n_steps steps: enough for
-    _CHUNK_STEPS steps, within _CHUNK_FLOOR .. _CHUNK_ROWS rows and
-    _CHUNK_BYTES bytes of paths, and at least one."""
+def _chunk_rows(n_steps: int, n_trials: int) -> int:
+    """Rows per chunk of _trial_chunks for n_trials trials on a grid of
+    n_steps steps: enough for _CHUNK_STEPS steps, within _CHUNK_FLOOR ..
+    _CHUNK_ROWS rows and _CHUNK_BYTES bytes of paths, at most an eighth of
+    the trials, rounded up, and at least one."""
     rows = max(-(-_CHUNK_STEPS // n_steps), _CHUNK_FLOOR)
-    return max(1, min(rows, _CHUNK_ROWS, _CHUNK_BYTES // ((n_steps + 1) * 16)))
+    cap = min(_CHUNK_ROWS, _CHUNK_BYTES // ((n_steps + 1) * 16), -(-n_trials // 8))
+    return max(1, min(rows, cap))
 
 
 def _work(values_of, starts, w, ends):
@@ -317,11 +319,11 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     Row i of a chunk's paths, shape (nb, n+1, 2), holds trial start + i,
     drawn from rng.child(start + i), scaled by sqrt(h) and summed in order
     along the time axis, so the paths do not depend on the chunk size. Every
-    chunk but the last holds _chunk_rows(n) rows. reduce(paths) gets each
-    chunk's paths as a read-only array and returns a (len(paths), width)
-    float array of per-trial values; the values are what is yielded, as
-    (start, values) in trial order, each a new read-only (nb, width) array of
-    the caller's own.
+    chunk but the last holds _chunk_rows(n, n_trials) rows. reduce(paths)
+    gets each chunk's paths as a read-only array and returns a
+    (len(paths), width) float array of per-trial values; the values are what
+    is yielded, as (start, values) in trial order, each a new read-only
+    (nb, width) array of the caller's own.
     reduce must be deterministic per row, so the values do not depend on the
     chunk size either. With keep, the rows are drawn as _draw_rows says, and
     a row keep drops is not drawn on and not reduced: its values are +inf.
@@ -338,7 +340,7 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
-    rows = _chunk_rows(n)
+    rows = _chunk_rows(n, n_trials)
     starts = range(0, n_trials, rows)
     buffer = []  # the paths, allocated on first use: in a worker, after the fork
 
@@ -491,18 +493,17 @@ def levy_area_law_experiment(
     increments, formed block by block in pooled scratch.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    blocks = max(1, group._AREA_BLOCK // grid.n_steps)
 
     def reduce(paths):
         # Blocks of whole rows form at most 512 KB of increments in pooled
         # scratch; a row's sum is the one over the whole chunk's increments,
         # bit for bit.
         a1 = np.empty((paths.shape[0], 1))
-        for r in range(0, paths.shape[0], blocks):
-            p = paths[r:r + blocks]
+        for rows in _row_blocks(paths.shape[0], grid.n_steps):
+            p = paths[rows]
             inc = _scratch(_HELD, (p.shape[0], grid.n_steps))
             _area_into(p, inc)
-            np.sum(inc, axis=-1, out=a1[r:r + blocks, 0])
+            np.sum(inc, axis=-1, out=a1[rows, 0])
         return a1
 
     a1 = _trial_values(grid, rng, n_trials, reduce, 1)[:, 0]

@@ -207,8 +207,8 @@ def test_criterion_08_girsanov_suite():
     k, n = row[4], row[5]
     p_rej = k / n
     se_rej = math.sqrt(p_rej * (1.0 - p_rej) / n)
-    shift = girsanov_shift_sampler(phi, n, RngSpec(SEED, 2 * 10 ** 6))
-    p_sh, se_sh = shift.tube_probability(1.0)
+    shift = girsanov_shift_sampler(phi, [1.0], n, RngSpec(SEED, 2 * 10 ** 6))
+    (_, p_sh, se_sh, _, _), = shift.rows
     agree = abs(p_sh - p_rej) <= 3.0 * math.hypot(se_rej, se_sh)
     elapsed = time.perf_counter() - t0
     _verdict(8, passed and agree,

@@ -15,11 +15,11 @@ from heis.results import ResultTable, binomial_stderr
 from heis.cli import (
     EXPERIMENTS,
     ReferenceParseError,
+    _option_list,
     config_hash,
     main,
     parse_dyadic,
     parse_fine_step,
-    parse_float_list,
     parse_reference_curve,
     resolve_config,
 )
@@ -90,10 +90,10 @@ class TestParsers:
                 parse_fine_step(bad)
 
     def test_float_list(self):
-        assert parse_float_list("2^-2, 0.125,") == [0.25, 0.125]
+        assert _option_list({"parameters": {"deltas": "2^-2, 0.125,"}}, "deltas") == [0.25, 0.125]
         for empty in ("", " , "):
-            with pytest.raises(ValueError):
-                parse_float_list(empty)
+            with pytest.raises(ValueError, match="invalid --deltas"):
+                _option_list({"parameters": {"deltas": empty}}, "deltas")
 
 
 class TestConfigHash:
@@ -501,6 +501,44 @@ class TestBadInput:
         assert res.output.startswith("Error: ") and res.output.count("\n") == 1
         assert "--target" in res.output
 
+    @pytest.mark.parametrize("out, reason", [("f", "File exists"), ("f/sub", "Not a directory")])
+    def test_an_out_that_cannot_be_written_is_a_one_line_error(self, runner, out, reason):
+        """An existing file, or a path below one: no traceback and no verdict lines."""
+        with runner.isolated_filesystem():
+            Path("f").write_text("kept\n")
+            res = runner.invoke(main, ["helix", "--n", "2,4", "--out", out])
+            assert Path("f").read_text() == "kept\n"
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: cannot write --out '{out}': {reason}\n"
+
+    def test_a_failed_summary_write_is_a_one_line_error(self, runner, monkeypatch):
+        """A write that fails after the CSV (as on a full disk) ends the same way."""
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", full)
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["helix", "--n", "2,4", "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert res.output == "Error: cannot write --out 'r': No space left on device\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1e3", str(2 ** 64 - 1)])
+    def test_seeds_lie_in_0_to_2_to_the_64(self, runner, seed):
+        """Seeds are not taken modulo 2^64, so -1 and 2^64 - 1 do not alias:
+        a seed outside [0, 2^64) is a usage error, and 2^64 - 1 runs."""
+        with runner.isolated_filesystem():
+            res = runner.invoke(main, ["levy-law", "--trials", "10", "--fine-step", "2^-6",
+                                       "--seed", seed, "--out", "r"])
+            written = Path("r/levy-law.summary.json")
+            summary = json.loads(written.read_text()) if written.exists() else None
+        if seed == str(2 ** 64 - 1):
+            assert res.exit_code in (0, 1), res.output
+            assert summary["config"]["seed"] == 2 ** 64 - 1
+        else:
+            assert res.exit_code == 2, res.output
+            assert "Invalid value for '--seed'" in res.output and summary is None
+
     def test_trials_beyond_memory_end_cleanly(self, runner):
         """levy-law keeps one float per trial: 10^14 trials ask for 800 TB,
         which fails at the first allocation, before any path is drawn."""
@@ -529,6 +567,10 @@ class TestBadInput:
               "--steps": st.sampled_from(["2^-3,2^-6", "2^-6", "0.5", "1", "2", "0", "-1",
                                           "nan", "inf", "1e308", "2^-3,1e308", "x", ""]),
               "--budget": st.sampled_from(["50", "2", "0", "-1", "x"])}
+    # --seed in and beyond [0, 2^64); --out as a directory, an existing file
+    # (f) and a path below that file
+    _SEEDS = st.sampled_from(["0", "7", "-1", str(2 ** 64 - 1), str(2 ** 64), "x"])
+    _OUTS = st.sampled_from(["r", "f", "f/sub"])
     # each command's own options, flag to parameter name
     _OPTIONS = {name: {p.opts[0]: p.name for p in main.commands[name].params
                        if p.name in spec.parameters}
@@ -538,13 +580,16 @@ class TestBadInput:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_random_list_and_curve_values_end_cleanly(self, data):
-        """Values for any options of any command end in a verdict or a clean
-        error: never a traceback, and never a RuntimeWarning."""
+        """Values for any options of any command, and any --seed and --out,
+        end in a verdict or a clean error: never a traceback, and never a
+        RuntimeWarning."""
         name = data.draw(st.sampled_from(sorted(self._OPTIONS)), label="command")
         own = self._OPTIONS[name]
         options = data.draw(st.lists(st.sampled_from(sorted(own)), min_size=1, unique=True),
                             label="options")
-        argv = [name, "--trials", "20", "--fine-step", "2^-6", "--out", "r"]
+        argv = [name, "--trials", "20", "--fine-step", "2^-6",
+                "--seed", data.draw(self._SEEDS, label="--seed"),
+                "--out", data.draw(self._OUTS, label="--out")]
         sized = [o for o in ("--n", "--budget") if o in own and o not in options]
         for option in options + sized:
             default = str(EXPERIMENTS[name].parameters[own[option]])
@@ -553,6 +598,7 @@ class TestBadInput:
             argv.append(f"{option}={value}")
         runner = CliRunner()
         with runner.isolated_filesystem():
+            Path("f").write_text("")
             res = runner.invoke(main, argv)
         assert res.exit_code in (0, 1, 2), res.output
         assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
@@ -566,6 +612,8 @@ class TestBadInput:
         ("support", {"parameters": [1]}),
         ("support", {"parameters": {"epsilom": 0.5}}),
         ("support", {"seeds": 3}),
+        ("levy-law", {"seed": -1}),
+        ("levy-law", {"seed": 2 ** 64}),
     ])
     def test_config_file_value_is_checked_like_its_flag(self, runner, name, loaded):
         with runner.isolated_filesystem():

@@ -351,13 +351,13 @@ class TestTubeScan:
         np.testing.assert_array_equal(above, np.count_nonzero(acc & (dist > epsilon), axis=0))
 
     def test_counts_do_not_depend_on_the_chunk_plan(self, monkeypatch):
-        """On a 2^-8 grid, four 512-row chunks and 286 of 7 rows count alike."""
+        """On a 2^-8 grid, eight 512-row chunks and 586 of 7 rows count alike."""
         phi, grid = ReferenceCurve.line(1.0, 0.0), TimeGrid.uniform(256)
         deltas, rng = [1.0, 0.9, 0.8, 0.7], RngSpec(23)
-        assert sde._chunk_rows(256) == 512
-        default = girsanov._tube_scan(phi, 2000, rng, grid, deltas, 0.9)
+        assert sde._chunk_rows(256, 4096) == 512
+        default = girsanov._tube_scan(phi, 4096, rng, grid, deltas, 0.9)
         monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
-        small = girsanov._tube_scan(phi, 2000, rng, grid, deltas, 0.9)
+        small = girsanov._tube_scan(phi, 4096, rng, grid, deltas, 0.9)
         assert default[0][-1] > 0
         for a, b in zip(default, small):
             np.testing.assert_array_equal(a, b)
@@ -382,9 +382,32 @@ class TestShiftSampler:
         k = int(np.sum(dev < 1.0))
         p_rej = k / n
         se_rej = math.sqrt(p_rej * (1 - p_rej) / n)
-        res = girsanov_shift_sampler(phi, n, RngSpec(31), 2.0 ** -7)
-        p_shift, se_shift = res.tube_probability(1.0)
+        table = girsanov_shift_sampler(phi, [1.0], n, RngSpec(31), 2.0 ** -7)
+        assert table.columns == ["delta", "estimate", "stderr", "total", "seed"]
+        (delta, p_shift, se_shift, total, seed), = table.rows
+        assert (delta, total, seed) == (1.0, n, 31)
         assert abs(p_shift - p_rej) < 3 * (se_rej + se_shift)
+
+    def test_rows_keep_the_bits_of_the_per_trial_estimate(self):
+        """Each row is mean_and_stderr(weight * (sup |B| < delta)) over every
+        trial; the pinned bits are those of that estimate over the uncapped
+        deviations, so capping them at the widest radius changes no row."""
+        phi = ReferenceCurve.line(1.0, 0.0)
+        table = girsanov_shift_sampler(phi, [1.0, 0.7], 2000, RngSpec(31), 2.0 ** -7)
+        assert [(r[1].hex(), r[2].hex()) for r in table.rows] == [
+            ("0x1.4b3135646e058p-4", "0x1.5ad4f13493364p-8"),
+            ("0x1.fe3a2705eb351p-9", "0x1.268761175f144p-10")]
+
+    @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0),
+                                     ReferenceCurve.poly2(1.0, 1.0)], ids=["line", "poly2"])
+    def test_estimates_never_increase_as_delta_shrinks(self, phi):
+        """Exactly, not within noise: the weights are positive and the
+        acceptance sets nested, so each trial's term can only drop to 0."""
+        deltas = np.linspace(1.6, 0.7, 10)
+        table = girsanov_shift_sampler(phi, deltas, 3000, RngSpec(32), 2.0 ** -7)
+        est = table.column("estimate")
+        assert np.all(np.diff(est) <= 0.0)
+        assert est[0] > est[-1] > 0.0
 
 
 class TestRatioExperiment:

@@ -152,7 +152,7 @@ def test_energy_rejects_broken_lift():
     c = horizontal_lift(nodes, TimeGrid.uniform(32))
     z = c.lifted_z.copy()
     z[10] += 0.05
-    broken = HorizontalCurve(c.grid, c.planar, c.planar_slope, z)
+    broken = HorizontalCurve(c.grid, c.planar, z)
     with pytest.raises(NotHorizontalError):
         energy(broken)
 

@@ -211,6 +211,13 @@ def _drawn(grid, rng, n_trials, **kwargs):
             for start, values in _chunks(grid, rng, n_trials, **kwargs)]
 
 
+def _starts(n_trials, chunk):
+    """The chunk starts of a pass of n_trials under a patched cap of chunk
+    rows, on a grid whose plan the cap binds: a pass holds at least eight
+    chunks, or one per trial."""
+    return list(range(0, n_trials, max(1, min(chunk, -(-n_trials // 8)))))
+
+
 @contextlib.contextmanager
 def _without_fork():
     """os as on a platform without os.fork, where the caller draws."""
@@ -243,7 +250,8 @@ def _nothing_left():
 def test_sample_bm_is_row_zero_of_the_trial_source(n_steps, rng):
     grid = TimeGrid.uniform(n_steps)
     path = sample_bm(grid, rng)
-    (_, paths), = _drawn(grid, rng, 2)
+    (_, paths), *_ = _drawn(grid, rng, 16)
+    assert paths.shape[0] == 2
     np.testing.assert_array_equal(path, paths[0])
     np.testing.assert_array_equal(path, _per_trial_paths(grid, rng, 1)[0])
 
@@ -253,12 +261,13 @@ def test_sample_bm_is_row_zero_of_the_trial_source(n_steps, rng):
                          ids=["plain", "wraps-2^64"])
 def test_trial_chunks_match_per_trial_generators(chunk, rng, monkeypatch):
     """Chunked draws equal the per-trial reference bit for bit, for a trial
-    count that is not a multiple of the chunk and for streams past 2^64."""
+    count that is not a multiple of the chunk and for streams past 2^64. A
+    cap of 512 rows gives 8-row chunks here, an eighth of the 60 trials."""
     monkeypatch.setattr(sde, "_CHUNK_ROWS", chunk)
     grid = TimeGrid.uniform(32)
-    n_trials = 25
+    n_trials = 60
     items = _drawn(grid, rng, n_trials)
-    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    assert [start for start, _ in items] == _starts(n_trials, chunk)
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
                                   _per_trial_paths(grid, rng, n_trials))
 
@@ -274,7 +283,7 @@ def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, k, fo
     with contextlib.nullcontext() if fork else _without_fork(), \
             mock.patch.object(sde, "_CHUNK_ROWS", chunk):
         items = _drawn(grid, rng, n_trials)
-    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    assert [start for start, _ in items] == _starts(n_trials, chunk)
     drawn = np.concatenate([np.empty((0, 2 ** k + 1, 2))] + [p for _, p in items])
     np.testing.assert_array_equal(drawn, _per_trial_paths(grid, rng, n_trials))
 
@@ -343,7 +352,7 @@ def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork
     with contextlib.nullcontext() if fork else _without_fork(), \
             mock.patch.object(sde, "_CHUNK_ROWS", chunk):
         items = list(_trial_chunks(grid, rng, n_trials, reduce, 2 * (2 ** k + 1), keep))
-    assert [start for start, _ in items] == list(range(0, n_trials, chunk))
+    assert [start for start, _ in items] == _starts(n_trials, chunk)
     values = np.concatenate([np.empty((0, 2 * (2 ** k + 1)))] + [v for _, v in items])
     kept = kept_rows(ref[:, :split + 1]) if split else np.ones(n_trials, dtype=bool)
     np.testing.assert_array_equal(values[kept], _rows(ref[kept]))
@@ -355,25 +364,26 @@ def test_caller_assisted_chunks_match_per_trial_generators(chunk, monkeypatch):
     """On a 1024-step grid, where the caller once drew blocks of the chunks
     it waited for, and with enough chunks that each worker sends many, the
     rows are still the per-trial reference bit for bit. A cap above the
-    128 rows of a 2^-10 chunk leaves them at 128."""
+    128 rows of a 2^-10 chunk leaves them at 128 (1 100 trials, whose
+    eighth, 138 rows, does not bind)."""
     monkeypatch.setattr(sde, "_CHUNK_ROWS", chunk)
     grid = TimeGrid.uniform(1024)
     rng = RngSpec(29, 11)
-    items = _drawn(grid, rng, 300)
-    assert [start for start, _ in items] == list(range(0, 300, min(chunk, 128)))
+    items = _drawn(grid, rng, 1100)
+    assert [start for start, _ in items] == list(range(0, 1100, min(chunk, 128)))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
-                                  _per_trial_paths(grid, rng, 300))
+                                  _per_trial_paths(grid, rng, 1100))
 
 
 def test_without_fork_the_caller_draws_the_same_rows(monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(sde, "_CHUNK_ROWS", 8)
     grid, rng = TimeGrid.uniform(64), RngSpec(31, 5)
-    items = _drawn(grid, rng, 50)
-    assert [start for start, _ in items] == list(range(0, 50, 8))
+    items = _drawn(grid, rng, 70)
+    assert [start for start, _ in items] == list(range(0, 70, 8))
     np.testing.assert_array_equal(np.concatenate([p for _, p in items]),
-                                  _per_trial_paths(grid, rng, 50))
-    assert not next(_chunks(grid, rng, 50))[1].flags.writeable
+                                  _per_trial_paths(grid, rng, 70))
+    assert not next(_chunks(grid, rng, 70))[1].flags.writeable
 
 
 def test_yielded_chunks_are_read_only(monkeypatch):
@@ -415,7 +425,7 @@ def test_draw_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(sde, "_draw_rows", failing)
     monkeypatch.setattr(sde, "_CHUNK_ROWS", 10)
-    chunks = _chunks(GRID, RngSpec(3), 20)
+    chunks = _chunks(GRID, RngSpec(3), 80)
     assert next(chunks)[0] == 0
     with pytest.raises(RuntimeError, match="trial 10 failed"):
         next(chunks)
@@ -528,16 +538,28 @@ def test_a_killed_scan_leaves_no_worker():
 def test_chunk_plan_draws_the_steps_of_a_2_to_the_minus_10_chunk(k, rows):
     """A coarse grid's chunk draws at least the 2^17 steps of 128 rows at
     2^-10, up to 512 rows; 2^-10 and finer keep 128 rows while their paths
-    fit 16 MB, then fewer, and at least one."""
-    assert sde._chunk_rows(2 ** k) == rows
+    fit 16 MB, then fewer, and at least one. A pass of 4 096 trials, whose
+    eighth is 512 rows, gets these rows."""
+    assert sde._chunk_rows(2 ** k, 4096) == rows
+
+
+@pytest.mark.parametrize("n_trials, k, rows", [
+    (1000, 8, 125), (2000, 8, 250), (5000, 8, 512), (45000, 8, 512), (1, 8, 1), (2, 8, 1),
+    (9, 6, 2), (1000, 10, 125), (1024, 10, 128), (4000, 12, 128), (0, 8, 1)])
+def test_a_short_pass_holds_at_least_eight_chunks(n_trials, k, rows):
+    """A pass draws chunks of at most an eighth of its trials, rounded up,
+    so a short pass on a coarse grid does not map a 512-row buffer per
+    worker; 5 000 or more trials at 2^-8, and 1 024 or more at 2^-10 to
+    2^-12, keep the rows of the plan."""
+    assert sde._chunk_rows(2 ** k, n_trials) == rows
 
 
 def test_a_patched_cap_sets_the_rows_of_a_coarse_grid(monkeypatch):
     """The tests that patch _CHUNK_ROWS still get several chunks at 2^-6."""
     monkeypatch.setattr(sde, "_CHUNK_ROWS", 7)
-    assert sde._chunk_rows(64) == 7
-    items = _drawn(TimeGrid.uniform(64), RngSpec(5), 20)
-    assert [start for start, _ in items] == [0, 7, 14]
+    assert sde._chunk_rows(64, 60) == 7
+    items = _drawn(TimeGrid.uniform(64), RngSpec(5), 60)
+    assert [start for start, _ in items] == list(range(0, 60, 7))
 
 
 def test_trial_chunks_stay_within_byte_budget():
