@@ -5,6 +5,7 @@ from .group import (
     AlgebraElement,
     GroupElement,
     TangentVector,
+    area_increments,
     bracket,
     coordinate_distance,
     dilate,
@@ -13,7 +14,9 @@ from .group import (
     homogeneous_norm,
     inverse,
     left_diff,
+    levy_area,
     omega,
+    quotient_array,
     right_diff,
 )
 from .paths import (
@@ -37,10 +40,8 @@ from .sde import (
     LINEAR,
     SMOOTHSTEP,
     Interpolant,
-    area_increments,
     energy_divergence_experiment,
     hypoelliptic_bm,
-    levy_area,
     levy_area_law_experiment,
     sample_bm,
     wong_zakai,
@@ -74,7 +75,6 @@ from .density import (
     helix_vertical,
     linear_target_nodes,
     pl_length,
-    quotient_nodes,
     verbatim_quotient_nodes,
 )
 from .results import (

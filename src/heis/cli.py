@@ -33,6 +33,7 @@ import click
 import numpy as np
 
 from . import density, girsanov, sde
+from .group import area_increments
 from .paths import TimeGrid
 from .results import ResultTable
 from .rng import RngSpec
@@ -277,7 +278,25 @@ def harness_options(f):
     return f
 
 
-@click.group()
+class _Commands(click.Group):
+    """The heis group. A usage error (a flag of the wrong type or range, an
+    unknown option or command, no command) is one `Error:` line and exit 1,
+    like any other bad input: exit 2 is INCONCLUSIVE's alone."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            raise click.ClickException(exc.format_message()) from None
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise click.ClickException(exc.format_message()) from None
+
+
+@click.group(cls=_Commands, no_args_is_help=False)
 def main():
     """Heisenberg-group diffusion experiments."""
 
@@ -301,7 +320,7 @@ def _simulate(cfg) -> ResultTable:
 
 def _simulate_verdicts(table, parameters):
     t, x, y, z = (table.column(c) for c in table.columns)
-    inc = 0.5 * (x[:-1] * np.diff(y) - np.diff(x) * y[:-1])
+    inc = area_increments(np.stack([x, y], axis=-1))
     defect = float(np.max(np.abs(np.diff(z) - inc)) / (t[1] - t[0]))
     return [
         _assertion("starts-at-identity", x[0] == 0.0 and y[0] == 0.0 and z[0] == 0.0,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .girsanov import ReferenceCurve
-from .group import GroupElement, group_distance_array, omega, quotient_z_array
+from .group import GroupElement, area_increments, group_distance_array, sq_norm
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift, path_distance
 from .results import ResultTable
 
@@ -177,12 +177,6 @@ def verbatim_quotient_nodes(spec: HelixSpec, times: np.ndarray):
     return planar, z
 
 
-def quotient_nodes(curve_planar, curve_z, target_planar, target_z):
-    """Nodewise group quotient curve^{-1} * target as coordinate arrays."""
-    planar = target_planar - curve_planar
-    return planar, quotient_z_array(curve_planar, curve_z, target_planar, target_z)
-
-
 def helix_distance(spec: HelixSpec, n_steps: int = 0) -> float:
     """Uniform group distance between the helix and its linear target."""
     curve = helix_linear(spec, n_steps)
@@ -267,7 +261,7 @@ def approximate_path(target: SampledPath, n: int, segments: int) -> Approximatio
     dv = np.diff(tp, axis=0)
     # group increment of the interpolant: a3 is the vertical gap left over
     # after the chord's own lift
-    d3 = np.diff(tz) - 0.5 * omega(tp[:-1], tp[1:] - tp[:-1])
+    d3 = np.diff(tz) - area_increments(tp)
     max_turns = max(1, round(n * n * float(np.max(np.abs(d3))) / (2.0 * math.pi)))
     sub = _next_pow2(max(256, 64 * max_turns))
     u = np.linspace(0.0, 1.0, sub + 1)
@@ -319,7 +313,7 @@ def cc_join_curve(g: GroupElement, arc_nodes: int = 256) -> HorizontalCurve:
     nodes = np.concatenate(pieces, axis=0)
     if nodes.shape[0] == 1:
         nodes = np.zeros((2, 2))
-    chords = np.sqrt(np.sum(np.diff(nodes, axis=0) ** 2, axis=1))
+    chords = np.sqrt(sq_norm(np.diff(nodes, axis=0)))
     total = float(np.sum(chords))
     if total == 0.0:
         times = np.array([0.0, 1.0])
@@ -331,4 +325,4 @@ def cc_join_curve(g: GroupElement, arc_nodes: int = 256) -> HorizontalCurve:
 
 def pl_length(curve: HorizontalCurve) -> float:
     """Planar arc length of the piecewise-linear node representation."""
-    return float(np.sum(np.sqrt(np.sum(np.diff(curve.planar, axis=0) ** 2, axis=1))))
+    return float(np.sum(np.sqrt(sq_norm(np.diff(curve.planar, axis=0)))))

@@ -94,12 +94,6 @@ class ReferenceCurve:
     def zero(cls) -> "ReferenceCurve":
         return cls.line(0.0, 0.0)
 
-    def planar_at(self, times) -> np.ndarray:
-        return self.planar_fn(np.asarray(times, float))
-
-    def z_at(self, times) -> np.ndarray:
-        return self.z_fn(np.asarray(times, float))
-
     def lift(self, grid: TimeGrid) -> HorizontalCurve:
         return horizontal_lift(self.planar_fn, grid, dx_fn=self.dplanar_fn,
                                z_fn=self.z_fn, dz_fn=self.dz_fn)
@@ -158,7 +152,7 @@ def shift_weight(phi: ReferenceCurve, planar: np.ndarray, grid: TimeGrid) -> np.
     E[F(B)] = E[weight(B) F(B + phi)] holds exactly for Gaussian increments.
     """
     h = grid.step
-    dphi = np.diff(phi.planar_at(grid.times), axis=0)
+    dphi = np.diff(phi.planar_fn(grid.times), axis=0)
     stoch = _increment_sums(dphi, planar) / h
     quad = float(np.sum(dphi * dphi)) / h
     return np.exp(-stoch - 0.5 * quad)
@@ -188,7 +182,7 @@ def tube_deviation(
     than cap decides exactly as with the full sup, at the cost of the strided
     pass for the paths that leave the tube early.
     """
-    nodes = phi.planar_at(grid.times)
+    nodes = phi.planar_fn(grid.times)
     if cap is None:
         return np.sqrt(np.max(sq_norm(planar - nodes), axis=-1))
     rows = planar.reshape(-1, *planar.shape[-2:])
@@ -200,9 +194,8 @@ def tube_deviation(
 
 def distance_to_curve(phi: ReferenceCurve, planar: np.ndarray, area: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Uniform group distance between g = (B, A) and the lift of phi."""
-    pp = phi.planar_at(grid.times)
-    pz = phi.z_at(grid.times)
-    return np.max(group_distance_array(pp, pz, planar, area), axis=-1)
+    t = grid.times
+    return np.max(group_distance_array(phi.planar_fn(t), phi.z_fn(t), planar, area), axis=-1)
 
 
 def tube_regime_ok(phi: ReferenceCurve, delta: float, epsilon: float) -> bool:
@@ -240,7 +233,7 @@ def _tube_scan(phi, n_trials, rng, grid, deltas, epsilon):
         out[inside, 1] = distance_to_curve(phi, sub, levy_area(sub), grid)
         return out
 
-    nodes = phi.planar_at(grid.times)
+    nodes = phi.planar_fn(grid.times)
     for _, values in _trial_chunks(grid, rng, n_trials, reduce, 2,
                                    keep=lambda p: _strided_gap(p, nodes[:p.shape[1]]) < widest):
         acc = values[:, :1] < radii

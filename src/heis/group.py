@@ -6,15 +6,20 @@ form on the plane:
     (v1, z1) * (v2, z2) = (v1 + v2, z1 + z2 + omega(v1, v2) / 2)
 
 Everything here is plain double precision. Scalar operations work on
-GroupElement values; the *_array helpers are the vectorized forms used by the
-path and simulation modules. The blocked kernels (_area_into here, and those
-of heis.sde and heis.girsanov built on it) take their scratch from one
-per-process pool, _scratch, so a trial worker reuses the same pages chunk
-after chunk instead of mapping fresh temporaries for each.
+GroupElement values. The vectorized forms are the one implementation of each
+formula the other modules use: omega; the left-point area omega(B_k, dB_k)/2
+of piecewise-linear planar paths (_area_into, area_increments, levy_area),
+which is both the Brownian Levy area and the horizontal lift z' =
+omega(x, x')/2; the product mul_array and the quotient a^{-1} b,
+quotient_array; sq_norm, the homogeneous norm and group_distance_array. The
+blocked kernels (_area_into here, and those of heis.sde and heis.girsanov
+built on it) take their scratch from one per-process pool, _scratch, so a
+trial worker reuses the same pages chunk after chunk instead of mapping
+fresh temporaries for each.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,6 +103,34 @@ def _area_into(planar: np.ndarray, out: np.ndarray) -> None:
         np.multiply(o, 0.5, out=o)
 
 
+def area_increments(planar: np.ndarray) -> np.ndarray:
+    """Left-point area increments omega(B_k, dB_k)/2 along the node axis."""
+    planar = np.asarray(planar)
+    *lead, n1, _ = planar.shape
+    m = math.prod(lead)
+    out = np.empty((*lead, n1 - 1))
+    _area_into(planar.reshape(m, n1, 2), out.reshape(m, n1 - 1))
+    return out
+
+
+def levy_area(planar: np.ndarray) -> np.ndarray:
+    """Left-point Ito sum for the Levy area at every node.
+
+    Grid-free: depends only on the node values. Supports leading batch
+    axes. The increments are summed in place after the leading 0. On
+    piecewise-linear planar nodes it is their exact horizontal lift.
+    """
+    planar = np.asarray(planar)
+    *lead, n1, _ = planar.shape
+    m = math.prod(lead)
+    out = np.empty((*lead, n1))
+    flat = out.reshape(m, n1)
+    flat[:, 0] = 0.0
+    _area_into(planar.reshape(m, n1, 2), flat[:, 1:])
+    np.cumsum(flat[:, 1:], axis=-1, out=flat[:, 1:])
+    return out
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Point (x, y, z) of the group; (x, y) is the planar part."""
@@ -161,10 +194,9 @@ def left_diff(k: GroupElement, v: TangentVector) -> TangentVector:
 
 
 def right_diff(k: GroupElement, v: TangentVector) -> TangentVector:
-    """Differential of g -> g k applied to v; same vertical formula as
-    left_diff, but the base point moves to base * k."""
-    w3 = v.v3 + 0.5 * (v.v1 * k.y - k.x * v.v2)
-    return TangentVector(v.v1, v.v2, w3, group_mul(v.base, k))
+    """Differential of g -> g k applied to v; left_diff's vector, but the
+    base point moves to base * k."""
+    return replace(left_diff(k, v), base=group_mul(v.base, k))
 
 
 def homogeneous_norm(g: GroupElement) -> float:
@@ -208,9 +240,9 @@ def mul_array(planar_a, z_a, planar_b, z_b):
     return planar_a + planar_b, z_a + z_b + 0.5 * omega(planar_a, planar_b)
 
 
-def quotient_z_array(planar_a, z_a, planar_b, z_b):
-    """Vertical component of a^{-1} b, pointwise."""
-    return z_b - z_a - 0.5 * omega(planar_a, planar_b)
+def quotient_array(planar_a, z_a, planar_b, z_b):
+    """The quotient a^{-1} b pointwise over batches of elements, as (planar, z)."""
+    return planar_b - planar_a, z_b - z_a - 0.5 * omega(planar_a, planar_b)
 
 
 def sq_norm(v):
@@ -229,6 +261,4 @@ def homogeneous_norm_array(planar, z):
 
 def group_distance_array(planar_a, z_a, planar_b, z_b):
     """|a^{-1} b| pointwise over batches of elements."""
-    dv = planar_b - planar_a
-    dz = quotient_z_array(planar_a, z_a, planar_b, z_b)
-    return homogeneous_norm_array(dv, dz)
+    return homogeneous_norm_array(*quotient_array(planar_a, z_a, planar_b, z_b))

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .group import AlgebraElement, GroupElement, _area_into, group_distance_array, mul_array, omega, sq_norm
+from .group import (AlgebraElement, GroupElement, area_increments, group_distance_array, levy_area, mul_array,
+                    omega, sq_norm)
 
 
 class GridMismatchError(ValueError):
@@ -123,9 +124,6 @@ class SampledPath:
         object.__setattr__(self, "planar", planar)
         object.__setattr__(self, "z", z)
 
-    def element(self, i: int) -> GroupElement:
-        return GroupElement(self.planar[i, 0], self.planar[i, 1], self.z[i])
-
     def resample(self, times) -> "SampledPath":
         """Linear-in-coordinates resampling; requires interpolation='linear'."""
         if self.interpolation != "linear":
@@ -176,10 +174,6 @@ class HorizontalCurve:
         object.__setattr__(self, "lifted_z", z)
 
     @property
-    def start(self) -> GroupElement:
-        return GroupElement(self.planar[0, 0], self.planar[0, 1], self.lifted_z[0])
-
-    @property
     def end(self) -> GroupElement:
         return GroupElement(self.planar[-1, 0], self.planar[-1, 1], self.lifted_z[-1])
 
@@ -207,10 +201,7 @@ def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
         raise ValueError("planar nodes do not match the grid")
     if nodes[0, 0] != 0.0 or nodes[0, 1] != 0.0:
         raise ValueError("planar path must start at 0")
-    z = np.zeros(nodes.shape[0])
-    _area_into(nodes[None], z[None, 1:])
-    np.cumsum(z[1:], out=z[1:])
-    return HorizontalCurve(grid, nodes, z)
+    return HorizontalCurve(grid, nodes, levy_area(nodes))
 
 
 def _gl_sample_times(grid: TimeGrid):
@@ -255,7 +246,7 @@ def left_translate_curve(k: GroupElement, c: HorizontalCurve) -> HorizontalCurve
         analytic = AnalyticBundle(
             x_fn=lambda t, a=a: kp + a.x_fn(t),
             dx_fn=a.dx_fn,
-            z_fn=lambda t, a=a: k.z + a.z_fn(t) + 0.5 * omega(kp, a.x_fn(t)),
+            z_fn=lambda t, a=a: mul_array(kp, k.z, a.x_fn(t), a.z_fn(t))[1],
             dz_fn=lambda t, a=a: a.dz_fn(t) + 0.5 * omega(kp, a.dx_fn(t)),
         )
     return HorizontalCurve(c.grid, planar, z, analytic)
@@ -295,10 +286,8 @@ def horizontality_defect(obj) -> float:
         gap = a.dz_fn(samples) - 0.5 * omega(a.x_fn(samples), a.dx_fn(samples))
         return float(np.max(np.abs(gap)))
     times, planar, z = _pl_arrays(obj)
-    dt = np.diff(times)
-    dx = np.diff(planar, axis=0)
-    gap = np.diff(z) - 0.5 * omega(planar[:-1], dx)
-    return float(np.max(np.abs(gap) / dt))
+    gap = np.diff(z) - area_increments(planar)
+    return float(np.max(np.abs(gap) / np.diff(times)))
 
 
 def maurer_cartan(obj, t: float) -> AlgebraElement:
@@ -311,7 +300,7 @@ def maurer_cartan(obj, t: float) -> AlgebraElement:
         ta = np.asarray([t], dtype=float)
         dx = np.asarray(a.dx_fn(ta), dtype=float).reshape(2)
         x = np.asarray(a.x_fn(ta), dtype=float).reshape(2)
-        c = float(a.dz_fn(ta)[0] - 0.5 * (x[0] * dx[1] - dx[0] * x[1]))
+        c = float(a.dz_fn(ta)[0] - 0.5 * omega(x, dx))
         return AlgebraElement(float(dx[0]), float(dx[1]), c)
     times, planar, z = _pl_arrays(obj)
     if not 0.0 <= t <= 1.0:
@@ -322,7 +311,7 @@ def maurer_cartan(obj, t: float) -> AlgebraElement:
     dx = (planar[i + 1] - planar[i]) / dt
     dz = (z[i + 1] - z[i]) / dt
     # omega(x(t), slope) is constant on the interval and equals its node value
-    c = dz - 0.5 * (planar[i, 0] * dx[1] - dx[0] * planar[i, 1])
+    c = dz - 0.5 * omega(planar[i], dx)
     return AlgebraElement(float(dx[0]), float(dx[1]), float(c))
 
 

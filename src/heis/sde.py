@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .group import _HELD, _area_into, _row_blocks, _scratch, group_distance_array, omega
+from .group import (_HELD, _area_into, _row_blocks, _scratch, area_increments, group_distance_array,
+                    levy_area, omega)
 from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
@@ -44,33 +45,6 @@ def sample_bm(grid: TimeGrid, rng: RngSpec) -> np.ndarray:
     out = np.empty((1, grid.n_steps + 1, 2))
     _draw_rows(rng, 0, out, math.sqrt(grid.step))
     return out[0]
-
-
-def area_increments(planar: np.ndarray) -> np.ndarray:
-    """Left-point area increments omega(B_k, dB_k)/2 along the node axis."""
-    planar = np.asarray(planar)
-    *lead, n1, _ = planar.shape
-    m = math.prod(lead)
-    out = np.empty((*lead, n1 - 1))
-    _area_into(planar.reshape(m, n1, 2), out.reshape(m, n1 - 1))
-    return out
-
-
-def levy_area(planar: np.ndarray) -> np.ndarray:
-    """Left-point Ito sum for the Levy area at every node.
-
-    Grid-free: depends only on the node values. Supports leading batch
-    axes. The increments are summed in place after the leading 0.
-    """
-    planar = np.asarray(planar)
-    *lead, n1, _ = planar.shape
-    m = math.prod(lead)
-    out = np.empty((*lead, n1))
-    flat = out.reshape(m, n1)
-    flat[:, 0] = 0.0
-    _area_into(planar.reshape(m, n1, 2), flat[:, 1:])
-    np.cumsum(flat[:, 1:], axis=-1, out=flat[:, 1:])
-    return out
 
 
 def hypoelliptic_bm(grid: TimeGrid, rng: RngSpec) -> SampledPath:
@@ -126,21 +100,16 @@ def _wz_fine(planar: np.ndarray, m: int, interpolant: Interpolant):
     n = planar.shape[0] - 1
     coarse = planar[::m]
     d = np.diff(coarse, axis=0)
-    u = np.arange(m) / m
+    fu = interpolant.f(np.arange(m) / m)
+    inc = area_increments(coarse)
+    area_c = np.zeros(coarse.shape[0])
+    np.cumsum(inc, out=area_c[1:])
+    pieces = coarse[:-1, None, :] + fu[None, :, None] * d[:, None, :]
     if interpolant is LINEAR:
-        inc = area_increments(coarse)
-        area_c = np.zeros(coarse.shape[0])
-        np.cumsum(inc, out=area_c[1:])
-        pieces = coarse[:-1, None, :] + u[None, :, None] * d[:, None, :]
-        area_pieces = area_c[:-1, None] + u[None, :] * inc[:, None]
+        area_pieces = area_c[:-1, None] + fu[None, :] * inc[:, None]
     else:
-        fu = interpolant.f(u)
         alpha = coarse[:-1, 0] * d[:, 1]
         beta = coarse[:-1, 1] * d[:, 0]
-        inc = 0.5 * (alpha - beta)
-        area_c = np.zeros(coarse.shape[0])
-        np.cumsum(inc, out=area_c[1:])
-        pieces = coarse[:-1, None, :] + fu[None, :, None] * d[:, None, :]
         area_pieces = area_c[:-1, None] + 0.5 * (alpha[:, None] * fu - beta[:, None] * fu)
     fine_planar = np.concatenate([pieces.reshape(n, 2), coarse[-1:]], axis=0)
     fine_area = np.concatenate([area_pieces.reshape(n), area_c[-1:]])
@@ -192,19 +161,22 @@ def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
     return AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn)
 
 
-# The chunk plan (_chunk_rows). Each chunk costs a fixed amount beyond its
-# rows: its generators' keying, a pipe frame, the caller's wake-up and copy.
-# So a chunk draws at least _CHUNK_STEPS steps, those of 128 rows at 2^-10:
-# 512 rows at 2^-8, where a 45 000-trial tube scan took 0.64 s of worker CPU
-# (0.76 s with 128-row chunks) and its workers 65 involuntary context
-# switches (185), on a 2-vCPU VM. At most _CHUNK_ROWS rows, which holds 2^-6
-# and 2^-7 at 512 too; at least _CHUNK_FLOOR rows, so 2^-10 to 2^-12 keep
-# the 128 rows they had: no other count has shown an end-to-end gain there.
-# A worker draws one chunk at a time into a private buffer of at most
-# _CHUNK_BYTES, so a grid finer than 2^-12 gets fewer rows instead of a
-# buffer that grows with it. A pass holds at least eight chunks (or one per
-# trial), so a short pass on a coarse grid does not map a 512-row buffer in
-# each worker for one chunk: 1 000 trials at 2^-8 draw 125-row chunks.
+# The chunk plan (_chunk_rows), measured with perfbench's workloads on a
+# 2-vCPU VM. Each chunk costs a fixed amount beyond its rows: its generators'
+# keying, a pipe frame, the caller's wake-up and copy. So a chunk draws at
+# least _CHUNK_STEPS steps, those of 128 rows at 2^-10: 512 rows at 2^-8,
+# where a 45 000-trial tube scan took 0.64 s of worker CPU (0.76 s with
+# 128-row chunks) and its workers 65 involuntary context switches (185).
+# At most _CHUNK_ROWS: one 2^19-step rule without bounds (2 048 rows at 2^-8)
+# ran tube at 106.4k and 94.7k trials/s against 111.2k and 103.8k (slower in
+# 3 of 3 pairs in both sets; dds and support did not move). At least
+# _CHUNK_FLOOR: 32-row chunks at 2^-12 showed levy no gain, 6 952 against
+# 7 271 (5 of 6 pairs slower) in one set, 7 182 against 7 142 in another.
+# At most _CHUNK_BYTES of paths per worker, so a grid finer than 2^-12 gets
+# fewer rows (128 rows at 2^-20 would be 2 GB). A pass holds at least eight
+# chunks (or one per trial), so a short pass on a coarse grid does not map a
+# 512-row buffer in each worker for one chunk: 1 000 trials at 2^-8 draw
+# 125-row chunks.
 _CHUNK_STEPS = 1 << 17
 _CHUNK_ROWS = 512
 _CHUNK_FLOOR = 128

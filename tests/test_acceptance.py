@@ -18,12 +18,13 @@ from click.testing import CliRunner
 import conftest
 from heis.cli import EXPERIMENTS, _status
 from heis.cli import main as cli_main
-from heis.density import HelixSpec, helix_linear, linear_target_nodes, quotient_nodes, verbatim_quotient_nodes
+from heis.density import HelixSpec, helix_linear, linear_target_nodes, verbatim_quotient_nodes
 from heis.girsanov import ReferenceCurve, girsanov_shift_sampler, tube_decay_experiment
 from heis.group import (
     group_distance_array,
     homogeneous_norm_array,
     mul_array,
+    quotient_array,
 )
 from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
 from heis.rng import RngSpec
@@ -279,7 +280,7 @@ def test_criterion_11_helix_convergence():
     spec = HelixSpec(0.0, 0.0, 1.0, 6, "verbatim")
     curve = helix_linear(spec)
     tp, tz = linear_target_nodes(spec, curve.grid.times)
-    qp, qz = quotient_nodes(curve.planar, curve.lifted_z, tp, tz)
+    qp, qz = quotient_array(curve.planar, curve.lifted_z, tp, tz)
     cp, cz = verbatim_quotient_nodes(spec, curve.grid.times)
     quot = max(float(np.max(np.abs(qp - cp))), float(np.max(np.abs(qz - cz))))
     elapsed = time.perf_counter() - t0

@@ -17,10 +17,9 @@ from heis.density import (
     helix_vertical,
     linear_target_nodes,
     pl_length,
-    quotient_nodes,
     verbatim_quotient_nodes,
 )
-from heis.group import GroupElement, group_distance, homogeneous_norm
+from heis.group import GroupElement, group_distance, homogeneous_norm, quotient_array
 from heis.paths import SampledPath, TimeGrid, energy, horizontal_lift, horizontality_defect
 
 
@@ -106,7 +105,7 @@ class TestQuotientDisplay:
         curve = helix_linear(spec)
         times = curve.grid.times
         tp, tz = linear_target_nodes(spec, times)
-        qp, qz = quotient_nodes(curve.planar, curve.lifted_z, tp, tz)
+        qp, qz = quotient_array(curve.planar, curve.lifted_z, tp, tz)
         cp, cz = verbatim_quotient_nodes(spec, times)
         assert float(np.max(np.abs(qp - cp))) <= 1e-10
         assert float(np.max(np.abs(qz - cz))) <= 1e-10
@@ -119,7 +118,7 @@ class TestQuotientDisplay:
     def test_self_quotient_is_identity(self):
         spec = HelixSpec(1.0, 2.0, 3.0, 4)
         curve = helix_linear(spec)
-        qp, qz = quotient_nodes(curve.planar, curve.lifted_z,
+        qp, qz = quotient_array(curve.planar, curve.lifted_z,
                                 curve.planar, curve.lifted_z)
         assert float(np.max(np.abs(qp))) == 0.0
         assert float(np.max(np.abs(qz))) == 0.0

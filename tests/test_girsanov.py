@@ -49,7 +49,7 @@ def _paths(n, rng, grid=GRID):
 class TestReferenceCurve:
     def test_line_lift_is_flat(self):
         phi = ReferenceCurve.line(2.0, -1.0)
-        assert phi.z_at(1.0) == 0.0
+        assert phi.z_fn(1.0) == 0.0
         assert phi.planar_energy == 5.0
         assert phi.total_variation == 3.0
         assert phi.dd_sup == 0.0
@@ -60,7 +60,7 @@ class TestReferenceCurve:
     def test_poly2_closed_forms(self):
         a, b = 1.5, -0.75
         phi = ReferenceCurve.poly2(a, b)
-        assert math.isclose(float(phi.z_at(1.0)), a * b / 6.0, rel_tol=1e-14)
+        assert math.isclose(float(phi.z_fn(1.0)), a * b / 6.0, rel_tol=1e-14)
         energy, _ = scipy.integrate.quad(
             lambda t: np.sum(phi.dplanar_fn(t) ** 2), 0.0, 1.0
         )
@@ -79,7 +79,7 @@ class TestReferenceCurve:
     def test_zero_curve(self):
         phi = ReferenceCurve.zero()
         assert phi.planar_energy == 0.0
-        assert np.all(phi.planar_at([0.3, 0.9]) == 0.0)
+        assert np.all(phi.planar_fn([0.3, 0.9]) == 0.0)
 
 
 class TestItoDiscretizations:
@@ -113,7 +113,7 @@ class TestItoDiscretizations:
         grid = TimeGrid.uniform(2 ** k)
         planar = data.draw(hnp.arrays(np.float64, (*lead, 2 ** k + 1, 2),
                                       elements=st.floats(-1e3, 1e3)))
-        dphi = np.diff(phi.planar_at(grid.times), axis=0)
+        dphi = np.diff(phi.planar_fn(grid.times), axis=0)
         with np.errstate(over="ignore"):
             old_left = np.sum(phi.dplanar_fn(grid.times[:-1]) * np.diff(planar, axis=-2),
                               axis=(-2, -1))
@@ -137,7 +137,7 @@ class TestItoDiscretizations:
     def test_martingale_on_the_curve_itself(self):
         # B identical to phi(t) = (t, 0): the stochastic term is exactly 1
         phi = ReferenceCurve.line(1.0, 0.0)
-        nodes = phi.planar_at(GRID.times)
+        nodes = phi.planar_fn(GRID.times)
         val = float(girsanov._martingale_weight(phi, ito_left_sum(phi, nodes, GRID)))
         assert math.isclose(val, math.exp(-1.5), rel_tol=1e-14)
 

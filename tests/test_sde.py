@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from heis import girsanov, group, sde
+from heis.density import pl_length
 from heis.group import group_distance_array, omega
-from heis.paths import TimeGrid, horizontal_lift, horizontality_defect
+from heis.paths import SampledPath, TimeGrid, horizontal_lift, horizontality_defect, maurer_cartan
 from heis.rng import RngSpec
 from heis.sde import (
     LINEAR,
@@ -181,6 +182,90 @@ def test_area_kernel_holds_no_chunk_sized_temporaries(fn):
     finally:
         tracemalloc.stop()
     assert peak <= out_bytes + (1 << 20)
+
+
+def _old_wz_fine(planar, m, interpolant):
+    """sde._wz_fine as written before it called area_increments for both
+    connectors."""
+    n = planar.shape[0] - 1
+    coarse = planar[::m]
+    d = np.diff(coarse, axis=0)
+    u = np.arange(m) / m
+    if interpolant is LINEAR:
+        inc = _old_increments(coarse)
+        area_c = np.zeros(coarse.shape[0])
+        np.cumsum(inc, out=area_c[1:])
+        pieces = coarse[:-1, None, :] + u[None, :, None] * d[:, None, :]
+        area_pieces = area_c[:-1, None] + u[None, :] * inc[:, None]
+    else:
+        fu = interpolant.f(u)
+        alpha = coarse[:-1, 0] * d[:, 1]
+        beta = coarse[:-1, 1] * d[:, 0]
+        inc = 0.5 * (alpha - beta)
+        area_c = np.zeros(coarse.shape[0])
+        np.cumsum(inc, out=area_c[1:])
+        pieces = coarse[:-1, None, :] + fu[None, :, None] * d[:, None, :]
+        area_pieces = area_c[:-1, None] + 0.5 * (alpha[:, None] * fu - beta[:, None] * fu)
+    return (np.concatenate([pieces.reshape(n, 2), coarse[-1:]], axis=0),
+            np.concatenate([area_pieces.reshape(n), area_c[-1:]]))
+
+
+@st.composite
+def _node_pairs(draw):
+    """Two (m k + 1, 2) node arrays, their (m k + 1,) verticals and m: normal
+    draws at a drawn scale, with some entries replaced by drawn values, among
+    them zeros (-0.0 included) and negative numbers."""
+    m, k = draw(st.sampled_from([1, 2, 3, 4, 8])), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    coords = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, -1.0, -2.5])
+
+    def values(shape):
+        drawn = draw(hnp.arrays(np.float64, shape, elements=coords))
+        return np.where(draw(hnp.arrays(bool, shape)), drawn, scale * rng.standard_normal(shape))
+
+    return values((m * k + 1, 2)), values((m * k + 1, 2)), values(m * k + 1), values(m * k + 1), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_node_pairs())
+def test_the_area_and_the_quotient_keep_the_bits_of_every_expression_they_replaced(case):
+    """Each site that wrote the left-point area, the group quotient or a
+    squared length out by hand now calls heis.group's one implementation,
+    with the same bits: the CLI's simulate verdict, the smoothstep connector
+    of _wz_fine, maurer_cartan, horizontality_defect, approximate_path's
+    increments, horizontal_lift, quotient_nodes and group_distance_array,
+    and the chords of cc_join_curve and pl_length."""
+    p, q, za, zb, m = case
+    assert sde.levy_area is group.levy_area and sde.area_increments is group.area_increments
+    inc = area_increments(p)
+    x, y, d = p[:, 0], p[:, 1], np.diff(p, axis=0)
+    for old in (0.5 * (x[:-1] * np.diff(y) - np.diff(x) * y[:-1]),  # cli simulate
+                0.5 * (x[:-1] * d[:, 1] - y[:-1] * d[:, 0]),  # _wz_fine, smoothstep
+                0.5 * omega(p[:-1], p[1:] - p[:-1])):  # approximate_path, defect
+        _assert_same_bytes(inc, old)
+    _assert_same_bytes(0.5 * omega(p, q), 0.5 * (p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+    for new, old in zip(group.quotient_array(p, za, q, zb),
+                        (q - p, zb - za - 0.5 * omega(p, q))):
+        _assert_same_bytes(new, old)
+    _assert_same_bytes(group.sq_norm(d), np.sum(d ** 2, axis=1))
+    for interpolant in (LINEAR, SMOOTHSTEP):
+        for new, old in zip(sde._wz_fine(p, m, interpolant), _old_wz_fine(p, m, interpolant)):
+            _assert_same_bytes(new, old)
+    # the path-level sites start at the identity
+    p[0], za[0] = 0.0, 0.0
+    grid = TimeGrid.uniform(p.shape[0] - 1)
+    lift = horizontal_lift(p, grid)
+    _assert_same_bytes(lift.lifted_z, _old_levy_area(p))
+    assert pl_length(lift) == float(np.sum(np.sqrt(np.sum(np.diff(p, axis=0) ** 2, axis=1))))
+    path = SampledPath(grid, p, za)
+    old = np.max(np.abs(np.diff(za) - 0.5 * omega(p[:-1], np.diff(p, axis=0))) / np.diff(grid.times))
+    assert horizontality_defect(path) == float(old)
+    for i, t in enumerate(grid.times[:-1]):
+        dt = grid.times[i + 1] - t
+        dx, dz = (p[i + 1] - p[i]) / dt, (za[i + 1] - za[i]) / dt
+        c = maurer_cartan(path, t).c
+        assert np.float64(c).tobytes() == np.float64(dz - 0.5 * (p[i, 0] * dx[1] - dx[0] * p[i, 1])).tobytes()
 
 
 def _per_trial_paths(grid, rng, n_trials):

@@ -23,8 +23,9 @@ involuntary context switches of those processes, all three from
 getrusage(RUSAGE_CHILDREN), and the medians of the raw import_s and of the
 calibration over the run's operations, parsed from run.py's `op N: ...`
 stderr lines: perfbench scales setup_s (and every time) by the calibration,
-so a setup_s move with an unmoved raw import is the calibration's. The
-output keeps BENCH_6.json's layout:
+so a setup_s move with an unmoved raw import is the calibration's. It also
+records each side's line count of src/heis/*.py (heis_lines). The output
+keeps BENCH_6.json's layout:
 per workload the runs of each side, their median and quartiles, the pairs the
 change won, the median change and the median gap over the parent's
 interquartile range. A run that exits non-zero is recorded with its exit
@@ -97,6 +98,11 @@ def copy_worktree(dest):
             target = Path(dest) / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
+
+
+def heis_lines(checkout):
+    """Lines of src/heis/*.py in a checkout, counted as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (Path(checkout) / "src" / "heis").glob("*.py"))
 
 
 def children_usage():
@@ -295,6 +301,7 @@ def main():
             path.mkdir()
         extract(args.rev, sides["parent"])
         copy_worktree(sides["change"])
+        record["heis_lines"] = {side: heis_lines(path) for side, path in sides.items()}
         for name, pairs in plan:
             seeds = list(range(seed, seed + pairs))
             seed += pairs
