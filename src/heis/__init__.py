@@ -72,7 +72,6 @@ from .density import (
     helix_convergence,
     helix_distance,
     helix_linear,
-    helix_vertical,
     linear_target_nodes,
     pl_length,
     verbatim_quotient_nodes,

@@ -8,7 +8,8 @@ one-line error), or 2 (inconclusive: the conditioning event was hit too
 rarely to decide).
 
 Each experiment is one `Experiment` spec in the `EXPERIMENTS` registry at the
-end of this module: its defaults, its options, `run(cfg) -> ResultTable` and
+end of this module: its parameters, each declared once as a flag with its
+default, `run(cfg) -> ResultTable` and
 `verdicts(table, parameters) -> (assertions, inconclusive)`. `_command`
 registers one click command per spec, so adding an experiment means writing
 its run and verdicts functions and appending its spec. The acceptance suite
@@ -79,11 +80,10 @@ def parse_reference_curve(text: str) -> girsanov.ReferenceCurve:
             raise ReferenceParseError(f"expected a finite number, got {tok!r}", tpos)
         if abs(vals[-1]) > _MAX_MAGNITUDE:
             raise ReferenceParseError(f"expected a magnitude of at most 1e6, got {tok!r}", tpos)
-    if kind == "zero":
-        return girsanov.ReferenceCurve.zero()
-    if kind == "line":
-        return girsanov.ReferenceCurve.line(*vals)
-    return girsanov.ReferenceCurve.poly2(*vals)
+    if kind == "poly2":
+        return girsanov.ReferenceCurve.poly2(*vals)
+    # "zero" is the line 0 0
+    return girsanov.ReferenceCurve.line(*(vals or (0.0, 0.0)))
 
 
 def parse_dyadic(text) -> float:
@@ -473,10 +473,7 @@ def _dds_verdicts(table, parameters):
 def _helix(cfg) -> ResultTable:
     p = cfg["parameters"]
     ns = _option_list(cfg, "n", _positive_int, "positive integers")
-    try:
-        target = [float(v) for v in str(p["target"]).split(",")]
-    except ValueError:
-        target = []
+    target = _option_list(cfg, "target", float, "three finite numbers")
     if len(target) != 3 or not all(map(math.isfinite, target)):
         raise ValueError(f"invalid --target: expected three finite numbers, got {p['target']!r}")
     try:
@@ -534,22 +531,36 @@ def _levy_law_verdicts(table, parameters):
     ], False
 
 
+def _param(flag: str, default, **click_kwargs):
+    """One parameter of a command: its name (the flag's, with underscores),
+    its default and its flag. The flag itself defaults to None, so an unset
+    flag leaves the config file's value or this default."""
+    name = flag[2:].replace("-", "_")
+    return name, default, click.option(flag, name, default=None, **click_kwargs)
+
+
+_CURVE_HELP = 'Reference curve: "zero" | "line A B" | "poly2 A B".'
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """One CLI command: its defaults, options, experiment and verdicts."""
+    """One CLI command: its parameters, experiment and verdicts."""
 
     name: str
     help: str
     trials: int
     fine_step: str
-    parameters: dict
-    options: tuple
+    params: tuple  # of _param entries, in help order
     run: Callable[[dict], ResultTable]
     verdicts: Callable[[ResultTable, dict], tuple]
     # config fields the output does not depend on, left out of the hash
     unhashed: tuple = ()
     # how to ask for less memory, named by the options that set the run's size
     sizes: str = "fewer --trials or a coarser --fine-step"
+
+    @property
+    def parameters(self) -> dict:
+        return {name: default for name, default, _ in self.params}
 
 
 def _command(spec: Experiment):
@@ -570,77 +581,70 @@ def _command(spec: Experiment):
                 table.meta, started)
 
     command = harness_options(command)
-    for opt in reversed(spec.options):
-        command = opt(command)
+    for _, _, option in reversed(spec.params):
+        command = option(command)
     main.command(name=spec.name, help=spec.help)(command)
 
-
-_PHI = click.option("--phi", default=None, help="Reference curve spec.")
-_EPSILON = click.option("--epsilon", type=float, default=None)
 
 EXPERIMENTS = {spec.name: spec for spec in (
     Experiment(
         "simulate", "Sample one hypoelliptic Brownian path and write its nodes.",
-        1, "2^-10", {}, (), _simulate, _simulate_verdicts, unhashed=("trials",),
+        1, "2^-10", (), _simulate, _simulate_verdicts, unhashed=("trials",),
         sizes="a coarser --fine-step"),
     Experiment(
         "ws-converge", "Mean-square distance between g and its smoothed approximations.",
-        2000, "2^-12", {"deltas": "2^-2,2^-3,2^-4,2^-5", "interpolant": "linear"},
-        (click.option("--deltas", default=None, help="Coarse steps, e.g. 2^-2,2^-3."),
-         click.option("--interpolant", default=None,
-                      type=click.Choice(["linear", "smoothstep"]))),
+        2000, "2^-12",
+        (_param("--deltas", "2^-2,2^-3,2^-4,2^-5", help="Coarse steps, e.g. 2^-2,2^-3."),
+         _param("--interpolant", "linear", type=click.Choice(["linear", "smoothstep"]))),
         _ws_converge, _ws_converge_verdicts),
     Experiment(
         "energy-diverge", "Discrete energy blow-up of g versus the smoothed path's plateau.",
-        512, "2^-10", {"steps": "2^-6,2^-7,2^-8,2^-9,2^-10", "wz_delta": "2^-3"},
-        (click.option("--steps", default=None, help="Evaluation steps, e.g. 2^-6,2^-7."),
-         click.option("--wz-delta", "wz_delta", default=None, help="Smoothing step.")),
+        512, "2^-10",
+        (_param("--steps", "2^-6,2^-7,2^-8,2^-9,2^-10",
+                help="Evaluation steps, e.g. 2^-6,2^-7."),
+         _param("--wz-delta", "2^-3", help="Smoothing step.")),
         _energy_diverge, _energy_diverge_verdicts,
         sizes="fewer --trials or coarser --steps and --fine-step"),
     Experiment(
         "tube", "Tube-conditioned exceedance of the group distance to a curve.",
-        100000, "2^-10", {"phi": "line 1 0", "epsilon": 0.9, "deltas": "0.9,0.8,0.7,0.6",
-                          "min_accepted": 200, "budget": 1000000},
-        (click.option("--phi", default=None,
-                      help='Reference curve: "zero" | "line A B" | "poly2 A B".'),
-         _EPSILON,
-         click.option("--deltas", default=None, help="Tube radii ladder."),
-         click.option("--min-accepted", "min_accepted", type=int, default=None),
-         click.option("--budget", type=int, default=None)),
+        100000, "2^-10",
+        (_param("--phi", "line 1 0", help=_CURVE_HELP),
+         _param("--epsilon", 0.9, type=float),
+         _param("--deltas", "0.9,0.8,0.7,0.6", help="Tube radii ladder."),
+         _param("--min-accepted", 200, type=int),
+         _param("--budget", 1000000, type=int)),
         _tube, _tube_verdicts,
         sizes="fewer --trials, a lower --budget or a coarser --fine-step"),
     Experiment(
         "girsanov-ratio", "Tube-conditioned mean of the exponential martingale weight.",
-        200000, "2^-10", {"phi": "line 1 0", "deltas": "1.0,0.8,0.7,0.6"},
-        (_PHI, click.option("--deltas", default=None, help="Centered tube radii ladder.")),
+        200000, "2^-10",
+        (_param("--phi", "line 1 0", help=_CURVE_HELP),
+         _param("--deltas", "1.0,0.8,0.7,0.6", help="Centered tube radii ladder.")),
         _girsanov_ratio, _girsanov_ratio_verdicts),
     Experiment(
         "dds-diagnostics",
         "Variance of the area versus the mean quarter clock, plus independence.",
-        100000, "2^-10", {"times": "0.25,0.5,1.0"},
-        (click.option("--times", default=None, help="Diagnostic times, grid nodes."),),
+        100000, "2^-10",
+        (_param("--times", "0.25,0.5,1.0", help="Diagnostic times, grid nodes."),),
         _dds, _dds_verdicts),
     Experiment(
         "helix", "Helix distance-to-target convergence table.",
-        1, "2^-10", {"n": "4,8,16,32,64", "target": "0,0,1", "variant": "identity",
-                     "refine": 4},
-        (click.option("--n", default=None, help="Helix index ladder."),
-         click.option("--target", default=None, help="Linear target a1,a2,a3."),
-         click.option("--variant", default=None,
-                      type=click.Choice(["identity", "verbatim"])),
-         click.option("--refine", type=int, default=None,
-                      help="Grid refinement factor check, at least 2.")),
+        1, "2^-10",
+        (_param("--n", "4,8,16,32,64", help="Helix index ladder."),
+         _param("--target", "0,0,1", help="Linear target a1,a2,a3."),
+         _param("--variant", "identity", type=click.Choice(["identity", "verbatim"])),
+         _param("--refine", 4, type=int, help="Grid refinement factor check, at least 2.")),
         _helix, _helix_verdicts, unhashed=("seed", "trials", "fine_step"),
         sizes="a smaller --n, --refine or |a3| of --target"),
     Experiment(
         "support", "Positive probability of landing epsilon-close to a reference lift.",
-        100000, "2^-10", {"phi": "line 1 0", "epsilon": 1.0},
-        (_PHI, _EPSILON),
+        100000, "2^-10",
+        (_param("--phi", "line 1 0", help=_CURVE_HELP), _param("--epsilon", 1.0, type=float)),
         _support, _support_verdicts),
     Experiment(
         "levy-law", "Second moment and cosine moments of the time-1 stochastic area.",
-        100000, "2^-12", {"lambdas": "0.5,1,2"},
-        (click.option("--lambdas", default=None, help="Cosine-moment frequencies."),),
+        100000, "2^-12",
+        (_param("--lambdas", "0.5,1,2", help="Cosine-moment frequencies."),),
         _levy_law, _levy_law_verdicts),
 )}
 

@@ -148,11 +148,6 @@ def helix_linear(spec: HelixSpec, n_steps: int = 0) -> HorizontalCurve:
                            AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn))
 
 
-def helix_vertical(n: int, variant: str = "identity", n_steps: int = 0) -> HorizontalCurve:
-    """Helix against the vertical segment (0, 0, t)."""
-    return helix_linear(HelixSpec(0.0, 0.0, 1.0, n, variant), n_steps)
-
-
 def linear_target_nodes(spec: HelixSpec, times: np.ndarray):
     """Node arrays of the target xi(t) = (a1 t, a2 t, a3 t)."""
     times = np.asarray(times, float)

@@ -90,10 +90,6 @@ class ReferenceCurve:
             dd_sup=2.0 * abs(b),
         )
 
-    @classmethod
-    def zero(cls) -> "ReferenceCurve":
-        return cls.line(0.0, 0.0)
-
     def lift(self, grid: TimeGrid) -> HorizontalCurve:
         return horizontal_lift(self.planar_fn, grid, dx_fn=self.dplanar_fn,
                                z_fn=self.z_fn, dz_fn=self.dz_fn)
@@ -313,7 +309,7 @@ def girsanov_shift_sampler(
     estimates never increase as delta shrinks.
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
-    origin = ReferenceCurve.zero()
+    origin = ReferenceCurve.line(0.0, 0.0)
     widest = max(float(d) for d in deltas)
 
     def reduce(paths):
@@ -353,7 +349,7 @@ def girsanov_ratio_experiment(
     """
     grid = TimeGrid.uniform(round(1.0 / fine_step))
     h = grid.step
-    origin = ReferenceCurve.zero()
+    origin = ReferenceCurve.line(0.0, 0.0)
     widest = max(float(d) for d in deltas)
 
     def reduce(paths):

@@ -443,6 +443,10 @@ class TestBadInput:
         (["energy-diverge", "--steps", ""], "--steps: expected positive finite numbers, got ''"),
         (["helix", "--n", "x"], "--n: expected positive integers, got 'x'"),
         (["helix", "--n", "4,0"], "--n: expected positive integers, got '4,0'"),
+        (["helix", "--target", "0,0"], "--target: expected three finite numbers, got '0,0'"),
+        (["helix", "--target", "0,0,inf"],
+         "--target: expected three finite numbers, got '0,0,inf'"),
+        (["helix", "--target", ","], "--target: expected three finite numbers, got ','"),
     ])
     def test_a_bad_list_names_its_option(self, runner, argv, expected):
         with runner.isolated_filesystem():
@@ -507,6 +511,17 @@ class TestBadInput:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error: ") and res.output.count("\n") == 1
         assert "--target" in res.output
+
+    def test_target_skips_empty_items_like_every_list(self, runner):
+        """--target is read like the other lists: 0,,0,1 is the target 0,0,1."""
+        tables = []
+        with runner.isolated_filesystem():
+            for target in ("0,,0,1", "0,0,1"):
+                res = runner.invoke(main, ["helix", "--target", target, "--n", "2,4",
+                                           "--out", target])
+                assert res.exit_code == 0, res.output
+                tables.append(Path(target, "helix.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("out, reason", [("f", "File exists"), ("f/sub", "Not a directory")])
     def test_an_out_that_cannot_be_written_is_a_one_line_error(self, runner, out, reason):

@@ -14,7 +14,6 @@ from heis.density import (
     helix_distance,
     helix_grid_steps,
     helix_linear,
-    helix_vertical,
     linear_target_nodes,
     pl_length,
     verbatim_quotient_nodes,
@@ -93,7 +92,7 @@ class TestConvergenceRate:
 
     def test_vertical_energy_closed_form(self):
         for n in (4, 8):
-            e = energy(helix_vertical(n))
+            e = energy(helix_linear(HelixSpec(0.0, 0.0, 1.0, n)))
             target = 2.5 * n * n - 0.75 * math.sin(2.0 * n * n)
             assert math.isclose(e, target, rel_tol=1e-10)
 

@@ -77,7 +77,7 @@ class TestReferenceCurve:
         assert math.isclose(phi.planar_energy, 1.0, rel_tol=1e-12)
 
     def test_zero_curve(self):
-        phi = ReferenceCurve.zero()
+        phi = ReferenceCurve.line(0.0, 0.0)
         assert phi.planar_energy == 0.0
         assert np.all(phi.planar_fn([0.3, 0.9]) == 0.0)
 
@@ -219,7 +219,7 @@ class TestTubeEstimates:
                            min_size=1, max_size=5),
            n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
            phi=st.sampled_from([ReferenceCurve.line(1.0, 0.0), ReferenceCurve.poly2(1.0, 1.0),
-                                ReferenceCurve.zero()]))
+                                ReferenceCurve.line(0.0, 0.0)]))
     def test_ladder_counts_property(self, deltas, n, seed, phi):
         """Any ladder, unreachable radii included, gives a table whose counts
         are brute-force counts of tube_deviation < delta, nested over delta."""
@@ -618,12 +618,12 @@ def _support_row(*args):
 
 class TestSupport:
     def test_positive_mass_near_flat_curve(self):
-        est = _support_row(ReferenceCurve.zero(), 1.5, 4000, RngSpec(60), 2.0 ** -7)
+        est = _support_row(ReferenceCurve.line(0.0, 0.0), 1.5, 4000, RngSpec(60), 2.0 ** -7)
         assert est["hits"] > 0 and est["total"] == 4000 and est["seed"] == 60
         assert est["p_hat"] == est["hits"] / 4000
         assert 0.0 < est["lower_99"] < est["p_hat"]
 
-    @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0), ReferenceCurve.zero(),
+    @pytest.mark.parametrize("phi", [ReferenceCurve.line(1.0, 0.0), ReferenceCurve.line(0.0, 0.0),
                                      ReferenceCurve.poly2(1.0, 1.0)],
                              ids=["line", "zero", "poly2"])
     def test_hits_match_per_trial_brute_force(self, phi):

@@ -359,14 +359,15 @@ def test_trial_chunks_match_per_trial_generators(chunk, rng, monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), k=st.integers(0, 10),
-       fork=st.booleans())
-def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, k, fork):
+       fork=st.booleans(), workers=st.integers(1, 3))
+def test_trial_chunks_match_per_trial_generators_property(n_trials, chunk, k, fork, workers):
     """A reduce that returns the paths gives the per-trial reference bit for
-    bit on grids of 2^-k, with the workers and without os.fork."""
+    bit on grids of 2^-k, with 1, 2 or 3 workers and without os.fork."""
     grid = TimeGrid.uniform(2 ** k)
     rng = RngSpec(91, 7)
     with contextlib.nullcontext() if fork else _without_fork(), \
-            mock.patch.object(sde, "_CHUNK_ROWS", chunk):
+            mock.patch.object(sde, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(sde, "_WORKERS", workers):
         items = _drawn(grid, rng, n_trials)
     assert [start for start, _ in items] == _starts(n_trials, chunk)
     drawn = np.concatenate([np.empty((0, 2 ** k + 1, 2))] + [p for _, p in items])
@@ -412,10 +413,10 @@ def test_tube_draw_keeps_rows_bitwise_and_drops_only_rows_out_of_the_tube(n_step
 @given(n_trials=st.integers(0, 40), chunk=st.integers(1, 16), k=st.integers(0, 7),
        a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
        c=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-np.inf, np.inf])),
-       fork=st.booleans())
-def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork):
-    """A random row predicate on the prefix up to node n // 2, with the
-    workers and without os.fork: kept trials' values are their per-trial
+       fork=st.booleans(), workers=st.integers(1, 3))
+def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork, workers):
+    """A random row predicate on the prefix up to node n // 2, with 1, 2 or
+    3 workers and without os.fork: kept trials' values are their per-trial
     reference paths, dropped trials' values are +inf, and reduce never gets
     a dropped row."""
     grid, rng = TimeGrid.uniform(2 ** k), RngSpec(93, 4)
@@ -435,7 +436,8 @@ def test_trial_chunks_drop_the_rows_keep_drops(n_trials, chunk, k, a, b, c, fork
 
     ref = _per_trial_paths(grid, rng, n_trials)
     with contextlib.nullcontext() if fork else _without_fork(), \
-            mock.patch.object(sde, "_CHUNK_ROWS", chunk):
+            mock.patch.object(sde, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(sde, "_WORKERS", workers):
         items = list(_trial_chunks(grid, rng, n_trials, reduce, 2 * (2 ** k + 1), keep))
     assert [start for start, _ in items] == _starts(n_trials, chunk)
     values = np.concatenate([np.empty((0, 2 * (2 ** k + 1)))] + [v for _, v in items])
