@@ -576,6 +576,10 @@ def _command(spec: Experiment):
         except MemoryError as exc:
             detail = f": {exc}" if str(exc) else ""
             raise click.ClickException(f"out of memory, try {live.sizes}{detail}")
+        except sde.WorkerError as exc:
+            # the failure, then the last line of a failed worker's traceback
+            first, *traceback = str(exc).splitlines()
+            raise click.ClickException(" ".join([first] + traceback[-1:]))
         # looked up at call time, so a wrapper bound to heis.cli._finish sees it
         _finish(out, spec.name, cfg, assertions, inconclusive, table.to_csv,
                 table.meta, started)

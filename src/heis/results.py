@@ -1,9 +1,12 @@
 """Experiment result tables and the small-sample statistics conventions."""
 
+import importlib.util
+import os
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 
 @dataclass
@@ -71,8 +74,47 @@ def wilson_center(k: int, n: int) -> float:
     return (k + 0.5) / (n + 1.0)
 
 
+def _load_betaincinv():
+    """scipy.special.betaincinv, the one function heis needs from scipy.
+
+    scipy/special/__init__.py took most of heis's import time (its array-API
+    shim pulls in numpy.f2py, numpy.testing and numpy.ma) for this one ufunc.
+    So unless scipy.special is imported already, a stub package whose
+    __path__ is scipy's special directory stands in while the compiled
+    scipy.special._ufuncs loads, and every scipy.special entry this added
+    leaves sys.modules again: a later `import scipy.special` runs in full,
+    and its betaincinv is this same object, kept by the extension. If any
+    step fails (another scipy layout, a missing extension), the package
+    import gives the function, so its bits never depend on the route.
+    """
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded.betaincinv
+    before = set(sys.modules)
+    try:
+        import scipy
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        spec = importlib.util.find_spec("scipy.special._ufuncs")
+        ufuncs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ufuncs)
+        return ufuncs.betaincinv
+    except Exception:  # any failure only rules out this route; the import below decides
+        pass
+    finally:
+        for name in set(sys.modules) - before:
+            if name == "scipy.special" or name.startswith("scipy.special."):
+                del sys.modules[name]
+    import scipy.special
+    return scipy.special.betaincinv
+
+
+_betaincinv = _load_betaincinv()
+
+
 def clopper_pearson_lower(k: int, n: int, confidence: float = 0.99) -> float:
     """One-sided exact lower confidence bound for a binomial proportion."""
     if k <= 0:
         return 0.0
-    return float(scipy.special.betaincinv(k, n - k + 1, 1.0 - confidence))
+    return float(_betaincinv(k, n - k + 1, 1.0 - confidence))

@@ -188,6 +188,11 @@ _WORKERS = 2
 _DRAWN, _FAILED = b"+", b"!"
 
 
+class WorkerError(RuntimeError):
+    """A trial worker of _trial_chunks failed or died. The first line of the
+    message says which; a failed worker's traceback follows it."""
+
+
 def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) -> np.ndarray:
     """Fill rows, shape (nb, n+1, 2), with trials first .. first + nb - 1;
     return the offsets of the k rows drawn whole, now in rows[:k].
@@ -268,12 +273,12 @@ def _work(values_of, starts, w, ends):
 
 def _read_values(ready: int, nb: int, width: int, start: int) -> np.ndarray:
     """The next chunk a worker sends on ready, as a new read-only (nb, width)
-    array. A RuntimeError carries the traceback the worker sent after
+    array. A WorkerError carries the traceback the worker sent after
     _FAILED, or reports its death if the pipe ends before a whole chunk."""
     token = os.read(ready, 1)
     if token == _FAILED:
         text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
-        raise RuntimeError(f"a trial worker failed:\n{text}")
+        raise WorkerError(f"a trial worker failed:\n{text}")
     if token == _DRAWN:
         values = np.empty((nb, width))
         buf, got = memoryview(values).cast("B"), 0
@@ -282,7 +287,7 @@ def _read_values(ready: int, nb: int, width: int, start: int) -> np.ndarray:
         if got == buf.nbytes:
             values.flags.writeable = False
             return values
-    raise RuntimeError(f"the worker drawing trials {start} on exited without a result")
+    raise WorkerError(f"the worker drawing trials {start} on exited without a result")
 
 
 def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int, keep=None):
@@ -305,7 +310,7 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     order; the caller maps no path memory, and the pipe's buffer bounds how
     far a worker runs ahead. Each worker keeps only its own write end, so a
     worker whose caller dies gets a broken pipe and exits. A worker's error,
-    reduce's included, reaches the caller as a RuntimeError carrying the
+    reduce's included, reaches the caller as a WorkerError carrying the
     worker's traceback. However the caller leaves (exhausted, closed early,
     an exception), it SIGKILLs and reaps every worker. Where os.fork is
     missing, the caller runs values_of itself.

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heis import girsanov
+from heis import girsanov, sde
 from heis.results import ResultTable, binomial_stderr
 from heis.cli import (
     EXPERIMENTS,
@@ -23,6 +25,7 @@ from heis.cli import (
     parse_reference_curve,
     resolve_config,
 )
+from test_sde import _nothing_left
 
 
 @pytest.fixture
@@ -397,6 +400,14 @@ class TestExitCodes:
             assert res.exit_code in (0, 1), res.output
 
 
+def _killed(paths):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _gives_up(paths):
+    raise ValueError("the reduce gave up")
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["levy-law", "--lambdas", "abc"],
@@ -464,6 +475,24 @@ class TestBadInput:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert res.output == "Error: out of memory, try fewer --trials or a coarser --fine-step\n"
+
+    @pytest.mark.parametrize("reduce, expected", [
+        (_killed, "the worker drawing trials 0 on exited without a result"),
+        (_gives_up, "a trial worker failed: ValueError: the reduce gave up"),
+    ], ids=["sigkill", "raises"])
+    def test_a_dead_or_failed_worker_is_a_one_line_error(self, runner, monkeypatch,
+                                                         reduce, expected):
+        """levy-law's pass forks _WORKERS workers, whose every reduce is
+        patched; the one that sends chunk 0 decides the message."""
+        trial_values = sde._trial_values
+        monkeypatch.setattr(sde, "_trial_values", lambda grid, rng, n_trials, _, width:
+                            trial_values(grid, rng, n_trials, reduce, width))
+        with runner.isolated_filesystem(), _nothing_left():
+            res = runner.invoke(main, ["levy-law", "--trials", "10", "--fine-step", "2^-6",
+                                       "--out", "r"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"Error: {expected}\n"
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
     def test_out_of_memory_names_the_experiments_own_size_options(self, runner, monkeypatch,

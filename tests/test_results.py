@@ -1,10 +1,16 @@
+import importlib.util
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from heis import results
 from heis.results import (
     ResultTable,
     binomial_stderr,
@@ -79,6 +85,62 @@ def test_clopper_pearson_equals_beta_quantile():
             for confidence in (0.9, 0.95, 0.99, 0.999):
                 expected = float(scipy.stats.beta.ppf(1.0 - confidence, k, n - k + 1))
                 assert clopper_pearson_lower(k, n, confidence) == expected, (k, n, confidence)
+
+
+def _spread():
+    """C10's (hits, trials), a grid of (k, n) and 200 random ones, n up to 10^6."""
+    pairs = [(5785, 100000)]
+    for n in (1, 2, 3, 10, 37, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
+        pairs += [(k, n) for k in sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1)))]
+    rng = np.random.default_rng(26)
+    return pairs + [(int(rng.integers(1, n + 1)), int(n)) for n in rng.integers(1, 10 ** 6, 200)]
+
+
+_SPREAD = _spread()
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_FRESH_IMPORT = """
+import json, sys
+import heis.cli
+from heis.results import _betaincinv, clopper_pearson_lower
+absent = [m for m in ("scipy.special", "numpy.f2py", "numpy.testing") if m in sys.modules]
+stubs = [m for m in sys.modules if m.startswith("scipy.special")]
+bits = [clopper_pearson_lower(k, n).hex() for k, n in json.loads(sys.argv[1])]
+import scipy.special
+print(json.dumps([absent, stubs, bits, _betaincinv is scipy.special.betaincinv]))
+"""
+
+
+def test_a_fresh_import_loads_only_the_ufunc_with_the_same_bits():
+    """Under pytest scipy.special is imported already, so only a fresh
+    interpreter takes the route that skips scipy.special's package import."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT, json.dumps(_SPREAD)],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    loaded, left, bits, same = json.loads(proc.stdout)
+    assert loaded == [] and left == []
+    assert bits == _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD)
+    assert same
+
+
+def test_a_failed_fast_route_falls_back_to_scipy_special(monkeypatch):
+    import scipy.special
+    expected = _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD)
+    kept = {m for m in sys.modules if m.startswith("scipy.special.")}
+
+    def fails(name, package=None):
+        raise ImportError(f"no spec for {name}")
+
+    monkeypatch.setattr(importlib.util, "find_spec", fails)
+    monkeypatch.setattr(scipy, "special", scipy.special)  # the fallback re-imports it
+    monkeypatch.delitem(sys.modules, "scipy.special")  # so the loader tries find_spec
+    monkeypatch.setattr(results, "_betaincinv", results._load_betaincinv())
+    assert _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD) == expected
+    assert kept <= set(sys.modules)  # only what the loader added left sys.modules
 
 
 def test_clopper_pearson_monotone_in_k():

@@ -3,12 +3,16 @@
     python3 tools/bench_pairs.py --bench 11 --rev HEAD --workload levy:5 \\
         --workload tube:3 --seed 1101 --claim levy:peak_rss_mb
 
-Extracts the parent revision with `git archive REV | tar -x` into a temporary
-directory (the repository's .git is only read) and copies the working tree's
-files that git tracks or would add into a sibling one, so both sides run from
-alike fresh checkouts: perfbench's peak_rss_mb includes the high-water mark
-that a child inherits from run.py, and that has read 137 MB in one directory
-and 153 MB in another for the same support code. It then runs
+Extracts the parent revision with `git archive REV | tar -x` into a staging
+directory (the repository's .git is only read), then lays out both sides the
+same way: one routine copies the files git lists, in git's path order, from
+the staging extract into `parent` and from the working tree (the files git
+tracks or would add, as they are on disk) into `change`, two sibling
+directories of one temporary directory. So neither side's layout differs
+from the other's: perfbench's peak_rss_mb includes the high-water mark that
+a child inherits from run.py, and that has read 137 MB in one directory and
+153 MB in another for the same support code, and an extract against a copy
+read setup_s 4% higher on the copy with no code difference. It then runs
 `perfbench/run.py --workload W --seed N --seconds S --trace 0`, with S the
 run_seconds of BENCHMARK.json, once on each side per pair, alternating which
 side runs first. Both sides of a pair get
@@ -78,6 +82,13 @@ def versions():
             "scipy": scipy.__version__}
 
 
+def git_names(command, *args):
+    """The paths a git listing command prints, in its order."""
+    out = subprocess.run(["git", "-C", str(ROOT), command, "-z", *args], capture_output=True,
+                         check=True).stdout
+    return [name for name in out.decode().split("\0") if name]
+
+
 def extract(rev, dest):
     """Write the tree of rev into dest without touching the working tree."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
@@ -87,17 +98,15 @@ def extract(rev, dest):
         sys.exit(f"bench_pairs: git archive {rev} failed")
 
 
-def copy_worktree(dest):
-    """Copy the files git tracks or would add, as they are on disk, into dest."""
-    listing = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        capture_output=True, check=True).stdout
-    for name in filter(None, listing.decode().split("\0")):
-        source = ROOT / name
-        if source.is_file():
+def lay_out(source, names, dest):
+    """Copy the regular files names of source into dest, in the given order:
+    the one routine that writes both sides."""
+    for name in names:
+        path = Path(source) / name
+        if path.is_file():
             target = Path(dest) / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target)
+            shutil.copy2(path, target)
 
 
 def heis_lines(checkout):
@@ -269,7 +278,9 @@ def main():
     record = {
         "bench": args.bench,
         "what": f"parent commit {parent_sha} against the working tree, each side's "
-                "perfbench/run.py on its own fresh copy in one temporary directory",
+                "perfbench/run.py on its own fresh copy in one temporary directory, both "
+                "copies written by one routine in git's path order (the parent's from a "
+                "git archive extract, the change's from the working tree)",
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
         "method": "pairs of runs with the same seed, one on each side, alternating which side "
                   "runs first (first_side names it per pair); medians and quartiles "
@@ -296,11 +307,14 @@ def main():
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.bench}.json"
     seed = args.seed
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        staging = Path(tmp) / "staging"
+        staging.mkdir()
+        extract(args.rev, staging)
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        for path in sides.values():
-            path.mkdir()
-        extract(args.rev, sides["parent"])
-        copy_worktree(sides["change"])
+        lay_out(staging, git_names("ls-tree", "-r", "--name-only", args.rev), sides["parent"])
+        lay_out(ROOT, git_names("ls-files", "--cached", "--others", "--exclude-standard"),
+                sides["change"])
+        shutil.rmtree(staging)
         record["heis_lines"] = {side: heis_lines(path) for side, path in sides.items()}
         for name, pairs in plan:
             seeds = list(range(seed, seed + pairs))
