@@ -33,7 +33,7 @@ def main():
     planar = RADIUS * np.stack([np.cos(th) - 1.0, np.sin(th)], axis=-1)
 
     lift = horizontal_lift(planar, grid)
-    swept = float(lift.lifted_z[-1])
+    swept = float(lift.z[-1])
     enclosed = math.pi * RADIUS ** 2
 
     print("lifting a circle gives a helix; height = enclosed area:")
@@ -45,8 +45,9 @@ def main():
           f"{horizontality_defect(lift):.2e}")
 
     # A path with the same endpoints that takes the vertical shortcut is
-    # cheap in coordinates but loudly non-horizontal.
-    cheat = SampledPath(grid, planar, swept * grid.times, "linear")
+    # cheap in coordinates but loudly non-horizontal. It is the same kind of
+    # object as the lift: horizontality is measured, not declared.
+    cheat = SampledPath(grid, planar, swept * grid.times)
     print(f"  straight-z climb defect              = "
           f"{horizontality_defect(cheat):.4f}")
 
@@ -57,7 +58,7 @@ def main():
     print(f"  energy(moved) = {energy(moved):.10f}")
     print(f"  defect(moved) = {horizontality_defect(moved):.2e}")
     print(f"  moved start   = ({moved.planar[0, 0]:+.1f}, "
-          f"{moved.planar[0, 1]:+.1f}, {moved.lifted_z[0]:+.1f})")
+          f"{moved.planar[0, 1]:+.1f}, {moved.z[0]:+.1f})")
 
     print()
     print("energy of the circle vs the unit-speed minimum:")

@@ -37,7 +37,7 @@ def main():
     for name, ip in (("linear", LINEAR), ("smoothstep", SMOOTHSTEP)):
         w = wong_zakai(s, delta, ip)
         gap_b = np.max(np.abs(w.planar[::m] - s.planar[::m]))
-        gap_a = np.max(np.abs(w.lifted_z[::m] - levy_area(s.planar[::m])))
+        gap_a = np.max(np.abs(w.z[::m] - levy_area(s.planar[::m])))
         print(f"  {name:>10}: max node gap in B = {gap_b:.1e}, "
               f"in A vs coarse area sums = {gap_a:.1e}")
 

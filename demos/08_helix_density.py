@@ -48,12 +48,7 @@ def main():
     print("chaining helices to follow an arbitrary continuous path:")
     grid = TimeGrid.uniform(64)
     t = grid.times
-    target = SampledPath(
-        grid,
-        np.stack([np.sin(math.pi * t), np.zeros_like(t)], axis=1),
-        t.copy(),
-        "linear",
-    )
+    target = SampledPath(grid, np.stack([np.sin(math.pi * t), np.zeros_like(t)], axis=1), t)
     print("  target: (sin(pi t), 0, t), 8 piecewise-linear segments")
     for n in (4, 16, 64):
         res = approximate_path(target, n, segments=8)

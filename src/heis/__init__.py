@@ -22,7 +22,6 @@ from .group import (
 from .paths import (
     AnalyticBundle,
     GridMismatchError,
-    HorizontalCurve,
     NotDifferentiableError,
     NotHorizontalError,
     SampledPath,

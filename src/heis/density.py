@@ -26,7 +26,8 @@ import numpy as np
 
 from .girsanov import ReferenceCurve
 from .group import GroupElement, area_increments, group_distance_array, sq_norm
-from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid, horizontal_lift, path_distance
+from .paths import (AnalyticBundle, SampledPath, TimeGrid, _check_starts_at_identity, horizontal_lift,
+                    path_distance)
 from .results import ResultTable
 
 _VARIANTS = ("identity", "verbatim")
@@ -130,7 +131,7 @@ def _verbatim_functions(a1, a2, a3, n):
     return x_fn, dx_fn, z_fn, dz_fn
 
 
-def helix_linear(spec: HelixSpec, n_steps: int = 0) -> HorizontalCurve:
+def helix_linear(spec: HelixSpec, n_steps: int = 0) -> SampledPath:
     """Helix of index n against the linear target (a1 t, a2 t, a3 t).
 
     a3 = 0 short-circuits to the straight horizontal lift of (a1 t, a2 t),
@@ -144,8 +145,8 @@ def helix_linear(spec: HelixSpec, n_steps: int = 0) -> HorizontalCurve:
         fns = _helix_functions(spec.a1, spec.a2, spec.a3, 2.0 / spec.n, 1.0 / spec.n, nu)
         return horizontal_lift(fns[0], grid, dx_fn=fns[1], z_fn=fns[2], dz_fn=fns[3])
     x_fn, dx_fn, z_fn, dz_fn = _verbatim_functions(spec.a1, spec.a2, spec.a3, spec.n)
-    return HorizontalCurve(grid, x_fn(grid.times), z_fn(grid.times),
-                           AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn))
+    return SampledPath(grid, x_fn(grid.times), z_fn(grid.times),
+                       analytic=AnalyticBundle(x_fn, dx_fn, z_fn, dz_fn))
 
 
 def linear_target_nodes(spec: HelixSpec, times: np.ndarray):
@@ -176,7 +177,7 @@ def helix_distance(spec: HelixSpec, n_steps: int = 0) -> float:
     """Uniform group distance between the helix and its linear target."""
     curve = helix_linear(spec, n_steps)
     tp, tz = linear_target_nodes(spec, curve.grid.times)
-    return float(np.max(group_distance_array(curve.planar, curve.lifted_z, tp, tz)))
+    return float(np.max(group_distance_array(curve.planar, curve.z, tp, tz)))
 
 
 def helix_convergence(ns, a1=0.0, a2=0.0, a3=1.0, variant="identity",
@@ -215,10 +216,8 @@ def helix_convergence(ns, a1=0.0, a2=0.0, a3=1.0, variant="identity",
 
 @dataclass(frozen=True)
 class ApproximationResult:
-    curve: HorizontalCurve
+    curve: SampledPath
     distance: float
-    n: int
-    segments: int
 
 
 def _segment_helix_nodes(a1, a2, a3, n, u):
@@ -241,16 +240,16 @@ def _segment_helix_nodes(a1, a2, a3, n, u):
 def approximate_path(target: SampledPath, n: int, segments: int) -> ApproximationResult:
     """Horizontal approximant of a continuous path from e.
 
-    The target is replaced by its piecewise-linear interpolant on `segments`
-    pieces; each piece's group increment (d1, d2, d3) is matched by an
-    identity-anchored helix of index n, and pieces are chained by left
-    translation, so the result is one horizontal curve from e. Returns the
-    curve together with the achieved uniform group distance to the target.
+    The target must read piecewise-linearly and start at e. It is replaced
+    by its piecewise-linear interpolant on `segments` pieces; each piece's
+    group increment (d1, d2, d3) is matched by an identity-anchored helix of
+    index n, and pieces are chained by left translation, so the result is
+    one horizontal curve from e. Returns the curve together with the
+    achieved uniform group distance to the target.
     """
-    if target.interpolation != "linear":
-        raise ValueError("target must be a piecewise-linear sample")
     if segments < 1:
         raise ValueError("segments must be positive")
+    _check_starts_at_identity(target, "the target")
     knots = target.resample(np.linspace(0.0, 1.0, segments + 1))
     tp, tz = knots.planar, knots.z
     dv = np.diff(tp, axis=0)
@@ -271,8 +270,7 @@ def approximate_path(target: SampledPath, n: int, segments: int) -> Approximatio
         planar[j * sub + 1:(j + 1) * sub + 1] = planar[j * sub] + xp[1:]
     grid = TimeGrid.uniform(total)
     curve = horizontal_lift(planar, grid)
-    dist = path_distance(curve.sample(), target.resample(grid.times))
-    return ApproximationResult(curve, dist, int(n), int(segments))
+    return ApproximationResult(curve, path_distance(curve, target.resample(grid.times)))
 
 
 def cc_upper_bound(g: GroupElement) -> float:
@@ -284,7 +282,7 @@ def cc_upper_bound(g: GroupElement) -> float:
     return math.hypot(g.x, g.y) + 2.0 * math.sqrt(math.pi * abs(g.z))
 
 
-def cc_join_curve(g: GroupElement, arc_nodes: int = 256) -> HorizontalCurve:
+def cc_join_curve(g: GroupElement, arc_nodes: int = 256) -> SampledPath:
     """Constant-speed horizontal curve realizing the cc_upper_bound join.
 
     The area loop is an arc_nodes-gon whose radius is chosen so the polygon
@@ -318,6 +316,6 @@ def cc_join_curve(g: GroupElement, arc_nodes: int = 256) -> HorizontalCurve:
     return horizontal_lift(nodes, TimeGrid(times))
 
 
-def pl_length(curve: HorizontalCurve) -> float:
+def pl_length(curve: SampledPath) -> float:
     """Planar arc length of the piecewise-linear node representation."""
     return float(np.sum(np.sqrt(sq_norm(np.diff(curve.planar, axis=0)))))

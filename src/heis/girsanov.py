@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .group import _HELD, _LEAF, _area_into, _row_blocks, _scratch, group_distance_array, sq_norm
-from .paths import HorizontalCurve, TimeGrid, horizontal_lift
+from .paths import SampledPath, TimeGrid, horizontal_lift
 from .results import ResultTable, binomial_stderr, clopper_pearson_lower, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec
 from .sde import _trial_chunks, _trial_values, levy_area
@@ -90,7 +90,7 @@ class ReferenceCurve:
             dd_sup=2.0 * abs(b),
         )
 
-    def lift(self, grid: TimeGrid) -> HorizontalCurve:
+    def lift(self, grid: TimeGrid) -> SampledPath:
         return horizontal_lift(self.planar_fn, grid, dx_fn=self.dplanar_fn,
                                z_fn=self.z_fn, dz_fn=self.dz_fn)
 
@@ -458,12 +458,13 @@ def _clock_values(planar: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
 def time_change_diagnostics(samples, times) -> ResultTable:
     """Variance of A_t against the mean clock E tau(t), plus independence.
 
-    samples: iterable of hypoelliptic_bm's SampledPaths, one trial each, on
-    a shared uniform grid. A is the Levy area of a sample's planar path,
-    formed by _clock_values as dds_experiment forms it (each sample is one
-    lone-row block there); for hypoelliptic_bm's samples that is bitwise
-    their z. tau is the quarter integral of |B|^2, evaluated by the
-    trapezoid rule (exact in mean for this integrand). Correlations are between A_t and the planar
+    samples: iterable of SampledPaths, one trial each (hypoelliptic_bm's
+    node-only paths), on a shared uniform grid; only their planar nodes are
+    read. A is the Levy area of a sample's planar path, formed by
+    _clock_values as dds_experiment forms it (each sample is one lone-row
+    block there); for hypoelliptic_bm's samples that is bitwise their z. tau
+    is the quarter integral of |B|^2, evaluated by the trapezoid rule (exact
+    in mean for this integrand). Correlations are between A_t and the planar
     coordinates at the same time. A_t and B_t are uncorrelated but not
     independent (E[A_1^2 (B^1_1)^2] = 5/12, not 1/4), so the null scale of a
     correlation is sqrt(E[a^2 b^2] / (E[a^2] E[b^2]) / N) over the centred

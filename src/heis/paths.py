@@ -1,10 +1,10 @@
 """Paths with values in the group: distance, horizontality, lifts.
 
-Paths are stored at grid nodes with a declared interpolation class.
-SampledPath is the generic container (piecewise-linear or node-only);
-HorizontalCurve carries planar nodes and a lifted vertical component, and may
-carry an analytic backend (vectorized callables) when the curve has
-closed-form pieces.
+SampledPath is the one path container: values at grid nodes, read between
+them piecewise-linearly, not at all (node-only samples of the diffusion), or
+through an analytic backend (vectorized callables) when the curve has
+closed-form pieces. Horizontality is a property of a path, checked by
+horizontality_defect and energy, not a kind of container.
 
 Horizontality means z'(t) = omega(x(t), x'(t)) / 2 along the curve. For a
 piecewise-linear planar path the lift has the exact per-interval increment
@@ -80,12 +80,6 @@ class TimeGrid:
             raise ValueError("grid is not uniform")
         return float(h)
 
-    def restrict(self, every: int) -> "TimeGrid":
-        """Keep every `every`-th node; `every` must divide n_steps."""
-        if self.n_steps % every:
-            raise ValueError(f"{every} does not divide {self.n_steps} steps")
-        return TimeGrid(self.times[::every])
-
     def __eq__(self, other):
         return isinstance(other, TimeGrid) and np.array_equal(self.times, other.times)
 
@@ -95,44 +89,6 @@ def _freeze(a):
     a = a.copy()
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class SampledPath:
-    """Group-valued path at grid nodes, starting at the identity.
-
-    interpolation: "linear" for curves read as piecewise-linear in
-    coordinates, "nodes" for samples with no declared interpolant
-    (diffusion paths).
-    """
-
-    grid: TimeGrid
-    planar: np.ndarray  # (n+1, 2)
-    z: np.ndarray  # (n+1,)
-    interpolation: str = "linear"
-
-    def __post_init__(self):
-        planar = _freeze(self.planar)
-        z = _freeze(self.z)
-        n = self.grid.times.size
-        if planar.shape != (n, 2) or z.shape != (n,):
-            raise ValueError("value arrays do not match the grid")
-        if self.interpolation not in ("linear", "nodes"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if planar[0, 0] != 0.0 or planar[0, 1] != 0.0 or z[0] != 0.0:
-            raise ValueError("paths start at the identity")
-        object.__setattr__(self, "planar", planar)
-        object.__setattr__(self, "z", z)
-
-    def resample(self, times) -> "SampledPath":
-        """Linear-in-coordinates resampling; requires interpolation='linear'."""
-        if self.interpolation != "linear":
-            raise NotDifferentiableError("node-only path cannot be resampled")
-        times = np.asarray(times, dtype=float)
-        x = np.interp(times, self.grid.times, self.planar[:, 0])
-        y = np.interp(times, self.grid.times, self.planar[:, 1])
-        z = np.interp(times, self.grid.times, self.z)
-        return SampledPath(TimeGrid(times), np.stack([x, y], axis=1), z, "linear")
 
 
 @dataclass(frozen=True)
@@ -151,36 +107,62 @@ class AnalyticBundle:
 
 
 @dataclass(frozen=True)
-class HorizontalCurve:
-    """Horizontal curve: planar nodes and the lifted vertical component.
+class SampledPath:
+    """Group-valued path: its values at the grid nodes, and how it reads
+    between them.
 
-    With no analytic backend the curve is read as piecewise-linear and
-    lifted_z must be the exact per-interval lift. With a backend, the arrays
-    are samples of the callables at the grid nodes.
+    With an analytic bundle the path reads through its callables, and the
+    arrays are their samples at the nodes. Without one, interpolation
+    decides: "linear" reads piecewise-linearly in coordinates, "nodes"
+    declares no interpolant (diffusion paths). A path may start anywhere;
+    the inputs that must start at the identity check it where they are read.
     """
 
     grid: TimeGrid
     planar: np.ndarray  # (n+1, 2)
-    lifted_z: np.ndarray  # (n+1,)
+    z: np.ndarray  # (n+1,)
+    interpolation: str = "linear"
     analytic: Optional[AnalyticBundle] = None
 
     def __post_init__(self):
         planar = _freeze(self.planar)
-        z = _freeze(self.lifted_z)
+        z = _freeze(self.z)
         n = self.grid.times.size
         if planar.shape != (n, 2) or z.shape != (n,):
             raise ValueError("value arrays do not match the grid")
+        if self.interpolation not in ("linear", "nodes"):
+            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         object.__setattr__(self, "planar", planar)
-        object.__setattr__(self, "lifted_z", z)
+        object.__setattr__(self, "z", z)
 
     @property
     def end(self) -> GroupElement:
-        return GroupElement(self.planar[-1, 0], self.planar[-1, 1], self.lifted_z[-1])
+        return GroupElement(self.planar[-1, 0], self.planar[-1, 1], self.z[-1])
 
-    def sample(self) -> SampledPath:
-        """Node samples as a SampledPath; requires the curve to start at e."""
-        interp = "linear" if self.analytic is None else "nodes"
-        return SampledPath(self.grid, self.planar, self.lifted_z, interp)
+    def resample(self, times) -> "SampledPath":
+        """Linear-in-coordinates resampling of a piecewise-linear path."""
+        nodes, planar, z = _pl_arrays(self)
+        times = np.asarray(times, dtype=float)
+        x = np.interp(times, nodes, planar[:, 0])
+        y = np.interp(times, nodes, planar[:, 1])
+        return SampledPath(TimeGrid(times), np.stack([x, y], axis=1), np.interp(times, nodes, z))
+
+
+def _reading(p: SampledPath) -> str:
+    """How p reads between its nodes: "analytic", "linear" or "nodes"."""
+    return p.interpolation if p.analytic is None else "analytic"
+
+
+def _pl_arrays(p: SampledPath):
+    """(times, planar, z) of a path that reads piecewise-linearly."""
+    if _reading(p) != "linear":
+        raise NotDifferentiableError(f"a path read as {_reading(p)!r} is not piecewise-linear")
+    return p.grid.times, p.planar, p.z
+
+
+def _check_starts_at_identity(p: SampledPath, what: str):
+    if p.planar[0, 0] != 0.0 or p.planar[0, 1] != 0.0 or p.z[0] != 0.0:
+        raise ValueError(f"{what} must start at the identity (0, 0, 0)")
 
 
 def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
@@ -191,17 +173,16 @@ def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
     required and the lift integral is evaluated by per-interval Gauss-Legendre
     quadrature unless a closed-form z_fn is supplied).
     """
-    if callable(planar):
-        if dx_fn is None:
-            raise ValueError("callable planar input needs dx_fn")
-        return _lift_analytic(planar, dx_fn, grid, z_fn, dz_fn)
-
-    nodes = np.asarray(planar, dtype=float)
+    if callable(planar) and dx_fn is None:
+        raise ValueError("callable planar input needs dx_fn")
+    nodes = np.asarray(planar(grid.times) if callable(planar) else planar, dtype=float)
     if nodes.shape != (grid.times.size, 2):
         raise ValueError("planar nodes do not match the grid")
     if nodes[0, 0] != 0.0 or nodes[0, 1] != 0.0:
         raise ValueError("planar path must start at 0")
-    return HorizontalCurve(grid, nodes, levy_area(nodes))
+    if callable(planar):
+        return _lift_analytic(planar, dx_fn, grid, nodes, z_fn, dz_fn)
+    return SampledPath(grid, nodes, levy_area(nodes))
 
 
 def _gl_sample_times(grid: TimeGrid):
@@ -214,13 +195,8 @@ def _gl_sample_times(grid: TimeGrid):
     return tt, ww
 
 
-def _lift_analytic(x_fn, dx_fn, grid, z_fn, dz_fn):
+def _lift_analytic(x_fn, dx_fn, grid, nodes, z_fn, dz_fn):
     times = grid.times
-    nodes = np.asarray(x_fn(times), dtype=float)
-    if nodes.shape != (times.size, 2):
-        raise ValueError("x_fn must return shape (len(times), 2)")
-    if nodes[0, 0] != 0.0 or nodes[0, 1] != 0.0:
-        raise ValueError("planar path must start at 0")
     if z_fn is None:
         tt, ww = _gl_sample_times(grid)
         integrand = 0.5 * omega(x_fn(tt.ravel()), dx_fn(tt.ravel()))
@@ -233,15 +209,16 @@ def _lift_analytic(x_fn, dx_fn, grid, z_fn, dz_fn):
     if dz_fn is None:
         dz_fn = lambda t: 0.5 * omega(x_fn(t), dx_fn(t))  # noqa: E731
     bundle = AnalyticBundle(x_fn, dx_fn, z_eval, dz_fn)
-    return HorizontalCurve(grid, nodes, z, bundle)
+    return SampledPath(grid, nodes, z, analytic=bundle)
 
 
-def left_translate_curve(k: GroupElement, c: HorizontalCurve) -> HorizontalCurve:
-    """The curve t -> k * c(t); left translation preserves horizontality."""
+def left_translate_curve(k: GroupElement, c: SampledPath) -> SampledPath:
+    """The path t -> k * c(t), read as c is; left translation preserves
+    horizontality."""
     kp = np.array([k.x, k.y])
-    planar, z = mul_array(kp, k.z, c.planar, c.lifted_z)
+    planar, z = mul_array(kp, k.z, c.planar, c.z)
     analytic = None
-    if c.analytic is not None:
+    if _reading(c) == "analytic":
         a = c.analytic
         analytic = AnalyticBundle(
             x_fn=lambda t, a=a: kp + a.x_fn(t),
@@ -249,7 +226,7 @@ def left_translate_curve(k: GroupElement, c: HorizontalCurve) -> HorizontalCurve
             z_fn=lambda t, a=a: mul_array(kp, k.z, a.x_fn(t), a.z_fn(t))[1],
             dz_fn=lambda t, a=a: a.dz_fn(t) + 0.5 * omega(kp, a.dx_fn(t)),
         )
-    return HorizontalCurve(c.grid, planar, z, analytic)
+    return SampledPath(c.grid, planar, z, c.interpolation, analytic)
 
 
 def path_distance(p: SampledPath, q: SampledPath) -> float:
@@ -259,19 +236,6 @@ def path_distance(p: SampledPath, q: SampledPath) -> float:
     return float(np.max(group_distance_array(p.planar, p.z, q.planar, q.z)))
 
 
-def _pl_arrays(obj):
-    """(times, planar, z) of a piecewise-linear representation."""
-    if isinstance(obj, HorizontalCurve):
-        return obj.grid.times, obj.planar, obj.lifted_z
-    if isinstance(obj, SampledPath):
-        if obj.interpolation != "linear":
-            raise NotDifferentiableError(
-                "node-only sample has no declared derivative"
-            )
-        return obj.grid.times, obj.planar, obj.z
-    raise TypeError(f"expected a path type, got {type(obj).__name__}")
-
-
 def horizontality_defect(obj) -> float:
     """sup_t |z'(t) - omega(x, x')(t) / 2| for the declared representation.
 
@@ -279,7 +243,7 @@ def horizontality_defect(obj) -> float:
     analytic representations are sampled at Gauss-Legendre nodes plus the
     interval endpoints.
     """
-    if isinstance(obj, HorizontalCurve) and obj.analytic is not None:
+    if _reading(obj) == "analytic":
         a = obj.analytic
         tt, _ = _gl_sample_times(obj.grid)
         samples = np.concatenate([tt.ravel(), obj.grid.times])
@@ -295,7 +259,7 @@ def maurer_cartan(obj, t: float) -> AlgebraElement:
 
     Piecewise representations use the right-sided interval at nodes.
     """
-    if isinstance(obj, HorizontalCurve) and obj.analytic is not None:
+    if _reading(obj) == "analytic":
         a = obj.analytic
         ta = np.asarray([t], dtype=float)
         dx = np.asarray(a.dx_fn(ta), dtype=float).reshape(2)
@@ -315,7 +279,7 @@ def maurer_cartan(obj, t: float) -> AlgebraElement:
     return AlgebraElement(float(dx[0]), float(dx[1]), float(c))
 
 
-def energy(c: HorizontalCurve) -> float:
+def energy(c: SampledPath) -> float:
     """Dirichlet energy int |x'|^2 dt of a horizontal curve.
 
     Piecewise-linear curves use the exact per-piece closed form; analytic
@@ -325,7 +289,7 @@ def energy(c: HorizontalCurve) -> float:
     defect = horizontality_defect(c)
     if defect > HORIZONTAL_DEFECT_TOL:
         raise NotHorizontalError(f"defect {defect:.3e} exceeds {HORIZONTAL_DEFECT_TOL}")
-    if c.analytic is not None:
+    if _reading(c) == "analytic":
         tt, ww = _gl_sample_times(c.grid)
         dx = np.asarray(c.analytic.dx_fn(tt.ravel()), dtype=float)
         speed_sq = sq_norm(dx).reshape(ww.shape)
@@ -336,11 +300,14 @@ def energy(c: HorizontalCurve) -> float:
 
 
 def read_path_csv(fh, interpolation="linear") -> SampledPath:
-    """The t,x,y,z table that the simulate command writes, as a path."""
+    """The t,x,y,z table that the simulate command writes, as a path from
+    the identity."""
     header = fh.readline().strip()
     if header != "t,x,y,z":
         raise ValueError(f"unexpected header {header!r}")
     data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("expected four columns")
-    return SampledPath(TimeGrid(data[:, 0]), data[:, 1:3], data[:, 3], interpolation)
+    path = SampledPath(TimeGrid(data[:, 0]), data[:, 1:3], data[:, 3], interpolation)
+    _check_starts_at_identity(path, "the table's path")
+    return path

@@ -5,6 +5,8 @@ Levy area A_t = (1/2) int_0^t omega(B_s, dB_s), discretized by left-point Ito
 sums on a uniform fine grid. The smoothed approximations replace B by a
 piecewise interpolation on a coarser step delta and A by the exact lift
 integral of the interpolated path, which is horizontal by construction.
+Both are SampledPaths: a diffusion path is node-only, a smoothing reads
+piecewise-linearly or through the analytic bundle of its connector.
 
 Conventions fixed here and relied on by the tests:
   - stochastic integrals use left-point sums on the fine grid;
@@ -32,7 +34,7 @@ import numpy as np
 
 from .group import (_HELD, _area_into, _row_blocks, _scratch, area_increments, group_distance_array,
                     levy_area, omega)
-from .paths import AnalyticBundle, HorizontalCurve, SampledPath, TimeGrid
+from .paths import AnalyticBundle, SampledPath, TimeGrid
 from .results import ResultTable, mean_and_stderr, variance_and_stderr
 from .rng import RngSpec, child_generators
 
@@ -116,10 +118,10 @@ def _wz_fine(planar: np.ndarray, m: int, interpolant: Interpolant):
     return fine_planar, fine_area
 
 
-def wong_zakai(sample: SampledPath, delta: float, interpolant: Interpolant = LINEAR) -> HorizontalCurve:
+def wong_zakai(sample: SampledPath, delta: float, interpolant: Interpolant = LINEAR) -> SampledPath:
     """Smoothed horizontal path: coarse-step interpolation of B plus the lift.
 
-    planar and lifted_z are _wz_fine's node values, the path that
+    planar and z are _wz_fine's node values, the path that
     ws_convergence_experiment measures. A LINEAR smoothing is read
     piecewise-linearly; any other interpolant carries the analytic bundle of
     its pieces. Either way the horizontality defect is at roundoff level.
@@ -130,7 +132,7 @@ def wong_zakai(sample: SampledPath, delta: float, interpolant: Interpolant = LIN
     bundle = None
     if interpolant is not LINEAR:
         bundle = _wz_bundle(grid, sample.planar[::m], delta, interpolant, fine_area)
-    return HorizontalCurve(grid, fine_planar, fine_area, bundle)
+    return SampledPath(grid, fine_planar, fine_area, analytic=bundle)
 
 
 def _wz_bundle(grid, coarse, delta, interpolant, fine_area) -> AnalyticBundle:
@@ -183,14 +185,15 @@ _CHUNK_FLOOR = 128
 _CHUNK_BYTES = 16 << 20
 _WORKERS = 2
 
-# One-byte tokens from a worker: a chunk's values follow, or the worker failed
-# and its traceback follows.
-_DRAWN, _FAILED = b"+", b"!"
+# One-byte tokens from a worker: a chunk's values follow, the worker failed
+# and its traceback follows, or it ran out of memory and the message follows.
+_DRAWN, _FAILED, _NO_MEMORY = b"+", b"!", b"m"
 
 
 class WorkerError(RuntimeError):
     """A trial worker of _trial_chunks failed or died. The first line of the
-    message says which; a failed worker's traceback follows it."""
+    message says which, and names the signal that killed a dead worker; a
+    failed worker's traceback follows it."""
 
 
 def _draw_rows(rng: RngSpec, first: int, rows: np.ndarray, s: float, keep=None) -> np.ndarray:
@@ -247,9 +250,10 @@ def _work(values_of, starts, w, ends):
     values_of(start) for chunks w, w + 2, ... into its own pipe.
 
     ends holds the read and write end of each worker's pipe; this one
-    closes all but its own write end. An error sends _FAILED and its
-    traceback. Leaves only by os._exit, so nothing of the caller's (atexit
-    hooks, buffered output) runs twice.
+    closes all but its own write end. A MemoryError sends _NO_MEMORY and its
+    message, any other error _FAILED and its traceback. Leaves only by
+    os._exit, so nothing of the caller's (atexit hooks, buffered output)
+    runs twice.
     """
     code = 0
     ready = ends[2 * w + 1]
@@ -261,10 +265,12 @@ def _work(values_of, starts, w, ends):
             frame = memoryview(_DRAWN + values_of(start).tobytes())
             while frame:
                 frame = frame[os.write(ready, frame):]
-    except BaseException:
+    except BaseException as exc:
         code = 1
+        report = (_NO_MEMORY + str(exc).encode() if isinstance(exc, MemoryError)
+                  else _FAILED + traceback.format_exc().encode())
         try:
-            os.write(ready, _FAILED + traceback.format_exc().encode())
+            os.write(ready, report)
         except OSError:  # the caller is gone
             pass
     finally:
@@ -273,11 +279,14 @@ def _work(values_of, starts, w, ends):
 
 def _read_values(ready: int, nb: int, width: int, start: int) -> np.ndarray:
     """The next chunk a worker sends on ready, as a new read-only (nb, width)
-    array. A WorkerError carries the traceback the worker sent after
-    _FAILED, or reports its death if the pipe ends before a whole chunk."""
+    array. A worker's MemoryError is raised again as a MemoryError; a
+    WorkerError carries the traceback the worker sent after _FAILED, or
+    reports its death if the pipe ends before a whole chunk."""
     token = os.read(ready, 1)
-    if token == _FAILED:
+    if token in (_FAILED, _NO_MEMORY):
         text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
+        if token == _NO_MEMORY:
+            raise MemoryError(text)
         raise WorkerError(f"a trial worker failed:\n{text}")
     if token == _DRAWN:
         values = np.empty((nb, width))
@@ -311,9 +320,10 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
     far a worker runs ahead. Each worker keeps only its own write end, so a
     worker whose caller dies gets a broken pipe and exits. A worker's error,
     reduce's included, reaches the caller as a WorkerError carrying the
-    worker's traceback. However the caller leaves (exhausted, closed early,
-    an exception), it SIGKILLs and reaps every worker. Where os.fork is
-    missing, the caller runs values_of itself.
+    worker's traceback, a MemoryError as a MemoryError, and a worker killed
+    by a signal as a WorkerError naming it. However the caller leaves
+    (exhausted, closed early, an exception), it SIGKILLs and reaps every
+    worker. Where os.fork is missing, the caller runs values_of itself.
     """
     n = grid.n_steps
     s = math.sqrt(grid.step)
@@ -355,7 +365,13 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
             os.close(fd)
         ends = ends[0::2]
         for c, start in enumerate(starts):
-            yield start, _read_values(ends[c % _WORKERS], min(rows, n_trials - start), width, start)
+            w = c % _WORKERS
+            try:
+                values = _read_values(ends[w], min(rows, n_trials - start), width, start)
+            except WorkerError as exc:
+                # its pipe has ended, so the worker has exited: reap it here
+                raise WorkerError(f"{exc}{_killed_by(pids.pop(w))}") from None
+            yield start, values
     finally:
         for fd in ends:
             os.close(fd)
@@ -363,6 +379,17 @@ def _trial_chunks(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: in
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _killed_by(pid: int) -> str:
+    """Reap worker pid; name the signal that killed it, or "" if it exited."""
+    _, status = os.waitpid(pid, 0)
+    if not os.WIFSIGNALED(status):
+        return ""
+    sig = os.WTERMSIG(status)
+    name = next((known.name for known in signal.Signals if known == sig), f"signal {sig}")
+    hint = ", which the out-of-memory killer often sends" if name == "SIGKILL" else ""
+    return f": killed by {name}{hint}"
 
 
 def _trial_values(grid: TimeGrid, rng: RngSpec, n_trials: int, reduce, width: int) -> np.ndarray:

@@ -127,7 +127,7 @@ def test_criterion_03_ito_sum_identity():
         s = hypoelliptic_bm(grid, RngSpec(SEED, seed))
         w = wong_zakai(s, 2.0 ** -3, LINEAR)
         m = 512 // 8
-        gap = np.max(np.abs(w.lifted_z[::m] - levy_area(s.planar[::m])))
+        gap = np.max(np.abs(w.z[::m] - levy_area(s.planar[::m])))
         worst = max(worst, float(gap))
     elapsed = time.perf_counter() - t0
     _verdict(3, worst <= 1e-12,
@@ -280,7 +280,7 @@ def test_criterion_11_helix_convergence():
     spec = HelixSpec(0.0, 0.0, 1.0, 6, "verbatim")
     curve = helix_linear(spec)
     tp, tz = linear_target_nodes(spec, curve.grid.times)
-    qp, qz = quotient_array(curve.planar, curve.lifted_z, tp, tz)
+    qp, qz = quotient_array(curve.planar, curve.z, tp, tz)
     cp, cz = verbatim_quotient_nodes(spec, curve.grid.times)
     quot = max(float(np.max(np.abs(qp - cp))), float(np.max(np.abs(qz - cz))))
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,6 +406,14 @@ def _killed(paths):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _terminated(paths):
+    os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _exhausted(paths):
+    raise MemoryError("the reduce ran out")
+
+
 def _gives_up(paths):
     raise ValueError("the reduce gave up")
 
@@ -477,13 +487,18 @@ class TestBadInput:
         assert res.output == "Error: out of memory, try fewer --trials or a coarser --fine-step\n"
 
     @pytest.mark.parametrize("reduce, expected", [
-        (_killed, "the worker drawing trials 0 on exited without a result"),
+        (_killed, "the worker drawing trials 0 on exited without a result: killed by SIGKILL, "
+                  "which the out-of-memory killer often sends"),
+        (_terminated, "the worker drawing trials 0 on exited without a result: killed by SIGTERM"),
         (_gives_up, "a trial worker failed: ValueError: the reduce gave up"),
-    ], ids=["sigkill", "raises"])
+        (_exhausted, f"out of memory, try {EXPERIMENTS['levy-law'].sizes}: the reduce ran out"),
+    ], ids=["sigkill", "sigterm", "raises", "memory"])
     def test_a_dead_or_failed_worker_is_a_one_line_error(self, runner, monkeypatch,
                                                          reduce, expected):
         """levy-law's pass forks _WORKERS workers, whose every reduce is
-        patched; the one that sends chunk 0 decides the message."""
+        patched; the one that sends chunk 0 decides the message. A killed
+        worker is named by its signal, and a worker's MemoryError gets the
+        experiment's own size hint."""
         trial_values = sde._trial_values
         monkeypatch.setattr(sde, "_trial_values", lambda grid, rng, n_trials, _, width:
                             trial_values(grid, rng, n_trials, reduce, width))
@@ -737,3 +752,19 @@ def test_command_surface_is_unchanged(name):
     assert resolve_config(name, None, None, None, None, {}) == {
         "experiment": name, "seed": 1, "trials": trials, "fine_step": fine_step,
         "parameters": parameters}
+
+
+def test_perfbench_tracer_installs_on_a_fresh_heis(tmp_path):
+    """perfbench's tracer rebinds names of heis (RngSpec.generator,
+    girsanov.time_change_diagnostics, results.wilson_center and more); one
+    small traced command in a fresh interpreter must run to exit 0."""
+    repo = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "child.py"), str(repo / "src"), str(spans),
+         "support", "--trials", "200", "--fine-step", "2^-6", "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert (record["exit_code"], record["error"]) == (0, None), record
+    assert any(span[0] == "cli.command" for span in json.loads(spans.read_text())["spans"])

@@ -19,7 +19,8 @@ from heis.density import (
     verbatim_quotient_nodes,
 )
 from heis.group import GroupElement, group_distance, homogeneous_norm, quotient_array
-from heis.paths import SampledPath, TimeGrid, energy, horizontal_lift, horizontality_defect
+from heis.paths import (NotDifferentiableError, SampledPath, TimeGrid, energy, horizontal_lift,
+                        horizontality_defect)
 
 
 class TestHelixSpec:
@@ -49,7 +50,7 @@ class TestHorizontality:
     def test_identity_variant_starts_at_e(self):
         curve = helix_linear(HelixSpec(1.0, 2.0, 3.0, 4))
         assert np.all(curve.planar[0] == 0.0)
-        assert curve.lifted_z[0] == 0.0
+        assert curve.z[0] == 0.0
 
     def test_verbatim_variant_starts_off_axis(self):
         n = 4
@@ -59,7 +60,7 @@ class TestHorizontality:
 
     def test_zero_vertical_rate_gives_straight_lift(self):
         curve = helix_linear(HelixSpec(1.0, 2.0, 0.0, 5), n_steps=512)
-        assert float(np.max(np.abs(curve.lifted_z))) == 0.0
+        assert float(np.max(np.abs(curve.z))) == 0.0
         assert helix_distance(HelixSpec(1.0, 2.0, 0.0, 5), n_steps=512) == 0.0
 
 
@@ -104,7 +105,7 @@ class TestQuotientDisplay:
         curve = helix_linear(spec)
         times = curve.grid.times
         tp, tz = linear_target_nodes(spec, times)
-        qp, qz = quotient_array(curve.planar, curve.lifted_z, tp, tz)
+        qp, qz = quotient_array(curve.planar, curve.z, tp, tz)
         cp, cz = verbatim_quotient_nodes(spec, times)
         assert float(np.max(np.abs(qp - cp))) <= 1e-10
         assert float(np.max(np.abs(qz - cz))) <= 1e-10
@@ -117,8 +118,8 @@ class TestQuotientDisplay:
     def test_self_quotient_is_identity(self):
         spec = HelixSpec(1.0, 2.0, 3.0, 4)
         curve = helix_linear(spec)
-        qp, qz = quotient_array(curve.planar, curve.lifted_z,
-                                curve.planar, curve.lifted_z)
+        qp, qz = quotient_array(curve.planar, curve.z,
+                                curve.planar, curve.z)
         assert float(np.max(np.abs(qp))) == 0.0
         assert float(np.max(np.abs(qz))) == 0.0
 
@@ -154,8 +155,7 @@ class TestApproximatePath:
         grid = TimeGrid.uniform(128)
         planar = np.stack([np.cos(2 * np.pi * grid.times) - 1.0,
                            np.sin(2 * np.pi * grid.times)], axis=-1)
-        lift = horizontal_lift(planar, grid)
-        target = SampledPath(grid, lift.planar, lift.lifted_z, "linear")
+        target = horizontal_lift(planar, grid)
         d16 = approximate_path(target, 8, 16).distance
         d32 = approximate_path(target, 8, 32).distance
         assert d32 < d16 < 0.3
@@ -166,12 +166,19 @@ class TestApproximatePath:
         with pytest.raises(ValueError):
             approximate_path(p, 4, 2)
 
+    def test_rejects_an_analytic_target(self):
+        """A helix reads through its callables, not piecewise-linearly."""
+        with pytest.raises(NotDifferentiableError):
+            approximate_path(helix_linear(HelixSpec(0.0, 0.0, 1.0, 4), n_steps=64), 4, 2)
+
     def test_offset_start_rejected_at_construction(self):
+        """A path may start anywhere; the approximant's construction
+        refuses a target that does not start at e."""
         g = TimeGrid.uniform(8)
         planar = np.zeros((9, 2))
         planar[:, 0] = 1.0
-        with pytest.raises(ValueError):
-            SampledPath(g, planar, np.zeros(9), "linear")
+        with pytest.raises(ValueError, match="must start at the identity"):
+            approximate_path(SampledPath(g, planar, np.zeros(9)), 4, 2)
 
 
 class TestExplicitJoin:
@@ -188,8 +195,8 @@ class TestExplicitJoin:
                   GroupElement(0.5, 0.5, 0.0)):
             c = cc_join_curve(g)
             assert c.planar[-1, 0] == g.x and c.planar[-1, 1] == g.y
-            assert abs(c.lifted_z[-1] - g.z) <= 1e-12
-            end = GroupElement(c.planar[-1, 0], c.planar[-1, 1], c.lifted_z[-1])
+            assert abs(c.z[-1] - g.z) <= 1e-12
+            end = GroupElement(c.planar[-1, 0], c.planar[-1, 1], c.z[-1])
             assert group_distance(end, g) <= 1e-6
             assert horizontality_defect(c) <= 1e-10
 

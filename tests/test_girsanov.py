@@ -55,7 +55,7 @@ class TestReferenceCurve:
         assert phi.dd_sup == 0.0
         lift = phi.lift(GRID)
         assert horizontality_defect(lift) <= 1e-12
-        assert float(np.max(np.abs(lift.lifted_z))) <= 1e-12
+        assert float(np.max(np.abs(lift.z))) <= 1e-12
 
     def test_poly2_closed_forms(self):
         a, b = 1.5, -0.75

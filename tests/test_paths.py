@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from heis.cli import EXPERIMENTS
-from heis.group import GroupElement, group_distance_array, omega
+from heis.girsanov import ReferenceCurve
+from heis.group import GroupElement, omega
 from heis.paths import (
     GridMismatchError,
-    HorizontalCurve,
     NotDifferentiableError,
     NotHorizontalError,
     SampledPath,
@@ -61,16 +61,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             _ = g.step
 
-    def test_restrict(self):
-        g = TimeGrid.uniform(16)
-        c = g.restrict(4)
-        assert c.n_steps == 4
-        np.testing.assert_array_equal(c.times, g.times[::4])
-
-    def test_restrict_requires_divisor(self):
-        with pytest.raises(ValueError):
-            TimeGrid.uniform(10).restrict(4)
-
 
 def test_pl_lift_defect_small_on_unit_box_paths():
     rng = np.random.default_rng(7)
@@ -87,7 +77,7 @@ def test_pl_lift_increments_are_exact():
     nodes = random_pl_path(rng, 64)
     c = horizontal_lift(nodes, TimeGrid.uniform(64))
     inc = 0.5 * omega(nodes[:-1], np.diff(nodes, axis=0))
-    np.testing.assert_array_equal(c.lifted_z, np.concatenate([[0.0], np.cumsum(inc)]))
+    np.testing.assert_array_equal(c.z, np.concatenate([[0.0], np.cumsum(inc)]))
 
 
 def test_lift_requires_zero_start():
@@ -120,7 +110,7 @@ class TestCircleLift:
     def test_quadrature_matches_closed_form(self):
         x_fn, dx_fn, _, _ = circle_bundle()
         c = horizontal_lift(x_fn, TimeGrid.uniform(256), dx_fn=dx_fn)
-        assert math.isclose(c.lifted_z[-1], math.pi, abs_tol=1e-10)
+        assert math.isclose(c.z[-1], math.pi, abs_tol=1e-10)
 
     def test_closed_form_defect_and_energy(self):
         x_fn, dx_fn, z_fn, dz_fn = circle_bundle()
@@ -135,7 +125,7 @@ class TestCircleLift:
         for n in (64, 256):
             nodes = x_fn(TimeGrid.uniform(n).times)
             c = horizontal_lift(nodes, TimeGrid.uniform(n))
-            gaps.append(abs(c.lifted_z[-1] - math.pi))
+            gaps.append(abs(c.z[-1] - math.pi))
         # polygon area error is O(n^-2)
         assert gaps[1] < gaps[0] / 8
 
@@ -150,9 +140,9 @@ def test_energy_rejects_broken_lift():
     rng = np.random.default_rng(2)
     nodes = random_pl_path(rng, 32)
     c = horizontal_lift(nodes, TimeGrid.uniform(32))
-    z = c.lifted_z.copy()
+    z = c.z.copy()
     z[10] += 0.05
-    broken = HorizontalCurve(c.grid, c.planar, z)
+    broken = SampledPath(c.grid, c.planar, z)
     with pytest.raises(NotHorizontalError):
         energy(broken)
 
@@ -165,10 +155,7 @@ def test_left_translation_preserves_horizontality_and_distance():
     k = GroupElement(0.7, -1.2, 0.4)
     kp, kq = left_translate_curve(k, p), left_translate_curve(k, q)
     assert horizontality_defect(kp) <= 1e-11
-    d0 = path_distance(p.sample(), q.sample())
-    d1 = float(np.max(group_distance_array(kp.planar, kp.lifted_z,
-                                           kq.planar, kq.lifted_z)))
-    assert math.isclose(d0, d1, abs_tol=1e-12)
+    assert math.isclose(path_distance(p, q), path_distance(kp, kq), abs_tol=1e-12)
 
 
 def test_maurer_cartan_left_invariant():
@@ -196,8 +183,8 @@ def test_maurer_cartan_horizontal_curve_has_no_vertical_part():
 
 def test_path_distance_grid_mismatch():
     rng = np.random.default_rng(4)
-    p = horizontal_lift(random_pl_path(rng, 16), TimeGrid.uniform(16)).sample()
-    q = horizontal_lift(random_pl_path(rng, 32), TimeGrid.uniform(32)).sample()
+    p = horizontal_lift(random_pl_path(rng, 16), TimeGrid.uniform(16))
+    q = horizontal_lift(random_pl_path(rng, 32), TimeGrid.uniform(32))
     with pytest.raises(GridMismatchError):
         path_distance(p, q)
 
@@ -209,6 +196,34 @@ def test_node_sample_refuses_derivative_queries():
         maurer_cartan(p, 0.5)
     with pytest.raises(NotDifferentiableError):
         horizontality_defect(p)
+
+
+def _path(reading, grid, seed):
+    """A path on grid read as reading: "nodes" or "analytic"."""
+    if reading == "nodes":
+        return hypoelliptic_bm(grid, RngSpec(seed))
+    return ReferenceCurve.poly2(seed, 1.0).lift(grid)
+
+
+@pytest.mark.parametrize("reading", ["nodes", "analytic"])
+def test_left_translation_and_distance_take_every_path(reading):
+    """As test_left_translation_preserves_horizontality_and_distance does for
+    piecewise-linear lifts."""
+    grid = TimeGrid.uniform(64)
+    p, q = _path(reading, grid, 1), _path(reading, grid, 2)
+    k = GroupElement(0.7, -1.2, 0.4)
+    kp, kq = left_translate_curve(k, p), left_translate_curve(k, q)
+    assert (kp.interpolation, kp.analytic is None) == (p.interpolation, p.analytic is None)
+    assert math.isclose(path_distance(kp, kq), path_distance(p, q), abs_tol=1e-12)
+    if reading == "analytic":
+        assert horizontality_defect(kp) <= 1e-10
+
+
+@pytest.mark.parametrize("reading", ["nodes", "analytic"])
+def test_only_a_piecewise_linear_path_resamples(reading):
+    p = _path(reading, TimeGrid.uniform(64), 1)
+    with pytest.raises(NotDifferentiableError):
+        p.resample(np.linspace(0.0, 1.0, 5))
 
 
 def test_sampled_path_resample_linear():
@@ -238,3 +253,9 @@ def test_csv_round_trip_is_exact():
 def test_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         read_path_csv(io.StringIO("a,b,c\n0,0,0\n"))
+
+
+def test_csv_rejects_a_path_off_the_identity():
+    """The table's first row must be 0,0,0 after its time."""
+    with pytest.raises(ValueError, match="must start at the identity"):
+        read_path_csv(io.StringIO("t,x,y,z\n0,0,0,0.5\n1,1,1,1\n"))

@@ -66,7 +66,7 @@ def test_bm_moments():
 def test_area_is_the_pl_lift():
     s = hypoelliptic_bm(GRID, RngSpec(5))
     lifted = horizontal_lift(s.planar, GRID)
-    np.testing.assert_array_equal(s.z, lifted.lifted_z)
+    np.testing.assert_array_equal(s.z, lifted.z)
     assert s.z[0] == 0.0
 
 
@@ -256,7 +256,7 @@ def test_the_area_and_the_quotient_keep_the_bits_of_every_expression_they_replac
     p[0], za[0] = 0.0, 0.0
     grid = TimeGrid.uniform(p.shape[0] - 1)
     lift = horizontal_lift(p, grid)
-    _assert_same_bytes(lift.lifted_z, _old_levy_area(p))
+    _assert_same_bytes(lift.z, _old_levy_area(p))
     assert pl_length(lift) == float(np.sum(np.sqrt(np.sum(np.diff(p, axis=0) ** 2, axis=1))))
     path = SampledPath(grid, p, za)
     old = np.max(np.abs(np.diff(za) - 0.5 * omega(p[:-1], np.diff(p, axis=0))) / np.diff(grid.times))
@@ -724,13 +724,13 @@ def test_wz_coarse_nodes_are_coarse_ito_sums(interp):
         w = wong_zakai(s, 2.0 ** -3, interp)
         m = 512 // 8
         np.testing.assert_array_equal(w.planar[::m], s.planar[::m])
-        np.testing.assert_array_equal(w.lifted_z[::m], levy_area(s.planar[::m]))
+        np.testing.assert_array_equal(w.z[::m], levy_area(s.planar[::m]))
 
 
 def test_wz_at_fine_step_is_identity():
     s = hypoelliptic_bm(GRID, RngSpec(8))
     w = wong_zakai(s, 1.0 / 256, LINEAR)
-    d = group_distance_array(w.planar, w.lifted_z, s.planar, s.z)
+    d = group_distance_array(w.planar, w.z, s.planar, s.z)
     assert float(np.max(d)) == 0.0
 
 
@@ -745,7 +745,7 @@ def test_wz_smoothstep_node_increments_exact():
     # the node-to-node area increment is the exact lift integral
     s = hypoelliptic_bm(TimeGrid.uniform(1024), RngSpec(12))
     w = wong_zakai(s, 2.0 ** -4, SMOOTHSTEP)
-    gap = np.abs(np.diff(w.lifted_z) - area_increments(w.planar))
+    gap = np.abs(np.diff(w.z) - area_increments(w.planar))
     assert float(np.max(gap)) <= 1e-12
 
 
@@ -758,7 +758,7 @@ def test_wz_is_the_path_ws_converge_measures(interp):
         s = hypoelliptic_bm(grid, RngSpec(seed))
         for delta in (2.0 ** -2, 2.0 ** -4):
             w = wong_zakai(s, delta, interp)
-            dsq = float(np.max(group_distance_array(w.planar, w.lifted_z, s.planar, s.z))) ** 2
+            dsq = float(np.max(group_distance_array(w.planar, w.z, s.planar, s.z))) ** 2
             table = ws_convergence_experiment([delta], grid.step, 1, RngSpec(seed), interp)
             assert dsq == table.column("estimate")[0]
 
