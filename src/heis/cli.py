@@ -33,7 +33,7 @@ from typing import Callable
 import click
 import numpy as np
 
-from . import density, girsanov, sde
+from . import girsanov, sde
 from .group import area_increments
 from .paths import TimeGrid
 from .results import ResultTable
@@ -471,6 +471,8 @@ def _dds_verdicts(table, parameters):
 
 
 def _helix(cfg) -> ResultTable:
+    from . import density  # only helix needs it, so the other commands skip its import
+
     p = cfg["parameters"]
     ns = _option_list(cfg, "n", _positive_int, "positive integers")
     target = _option_list(cfg, "target", float, "three finite numbers")

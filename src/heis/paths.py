@@ -3,14 +3,16 @@
 SampledPath is the one path container: values at grid nodes, read between
 them piecewise-linearly, not at all (node-only samples of the diffusion), or
 through an analytic backend (vectorized callables) when the curve has
-closed-form pieces. Horizontality is a property of a path, checked by
-horizontality_defect and energy, not a kind of container.
+closed-form pieces, integrated by a Gauss-Legendre rule built on first use.
+Horizontality is a property of a path, checked by horizontality_defect and
+energy, not a kind of container. Paths compare and hash by identity.
 
 Horizontality means z'(t) = omega(x(t), x'(t)) / 2 along the curve. For a
 piecewise-linear planar path the lift has the exact per-interval increment
 omega(x_i, dx_i) / 2, because omega(dx, dx) = 0 on each linear piece.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,10 +37,6 @@ class NotHorizontalError(ValueError):
 # Defect above this is treated as genuinely non-horizontal (construction
 # roundoff sits near 1e-13, real violations are O(1)).
 HORIZONTAL_DEFECT_TOL = 1e-8
-
-# Gauss-Legendre rule used to sample analytic representations per interval.
-_GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class AnalyticBundle:
     dz_fn: Callable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledPath:
     """Group-valued path: its values at the grid nodes, and how it reads
     between them.
@@ -185,13 +183,20 @@ def horizontal_lift(planar, grid: TimeGrid, dx_fn=None, z_fn=None, dz_fn=None):
     return SampledPath(grid, nodes, levy_area(nodes))
 
 
+@functools.cache
+def _gl_rule():
+    """The 8-point Gauss-Legendre rule on [-1, 1]; numpy.polynomial loads here."""
+    return np.polynomial.legendre.leggauss(8)
+
+
 def _gl_sample_times(grid: TimeGrid):
     """Gauss-Legendre nodes and weights mapped into every grid interval."""
+    nodes, weights = _gl_rule()
     t0 = grid.times[:-1]
     dt = np.diff(grid.times)
     # shape (n_intervals, order)
-    tt = t0[:, None] + dt[:, None] * (0.5 * (_GL_NODES[None, :] + 1.0))
-    ww = dt[:, None] * (0.5 * _GL_WEIGHTS[None, :])
+    tt = t0[:, None] + dt[:, None] * (0.5 * (nodes[None, :] + 1.0))
+    ww = dt[:, None] * (0.5 * weights[None, :])
     return tt, ww
 
 

@@ -1,5 +1,10 @@
-"""Experiment result tables and the small-sample statistics conventions."""
+"""Experiment result tables and the small-sample statistics conventions.
 
+scipy loads on the first clopper_pearson_lower call, not at import: only
+support's bound needs it, and its compiled ufuncs link OpenBLAS.
+"""
+
+import functools
 import importlib.util
 import os
 import sys
@@ -74,18 +79,20 @@ def wilson_center(k: int, n: int) -> float:
     return (k + 0.5) / (n + 1.0)
 
 
+@functools.cache
 def _load_betaincinv():
-    """scipy.special.betaincinv, the one function heis needs from scipy.
+    """scipy.special.betaincinv, the one function heis needs from scipy,
+    loaded on the first call and cached.
 
-    scipy/special/__init__.py took most of heis's import time (its array-API
-    shim pulls in numpy.f2py, numpy.testing and numpy.ma) for this one ufunc.
-    So unless scipy.special is imported already, a stub package whose
-    __path__ is scipy's special directory stands in while the compiled
-    scipy.special._ufuncs loads, and every scipy.special entry this added
-    leaves sys.modules again: a later `import scipy.special` runs in full,
-    and its betaincinv is this same object, kept by the extension. If any
-    step fails (another scipy layout, a missing extension), the package
-    import gives the function, so its bits never depend on the route.
+    scipy/special/__init__.py costs more than the ufunc (its array-API shim
+    pulls in numpy.f2py, numpy.testing and numpy.ma). So unless scipy.special
+    is imported already, a stub package whose __path__ is scipy's special
+    directory stands in while the compiled scipy.special._ufuncs loads, and
+    every scipy.special entry this added leaves sys.modules again: a later
+    `import scipy.special` runs in full, and its betaincinv is this same
+    object, kept by the extension. If any step fails (another scipy layout, a
+    missing extension), the package import gives the function, so its bits
+    never depend on the route.
     """
     loaded = sys.modules.get("scipy.special")
     if loaded is not None:
@@ -110,11 +117,8 @@ def _load_betaincinv():
     return scipy.special.betaincinv
 
 
-_betaincinv = _load_betaincinv()
-
-
 def clopper_pearson_lower(k: int, n: int, confidence: float = 0.99) -> float:
     """One-sided exact lower confidence bound for a binomial proportion."""
     if k <= 0:
         return 0.0
-    return float(_betaincinv(k, n - k + 1, 1.0 - confidence))
+    return float(_load_betaincinv()(k, n - k + 1, 1.0 - confidence))

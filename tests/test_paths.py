@@ -235,6 +235,16 @@ def test_sampled_path_resample_linear():
     assert math.isclose(q.planar[1, 1], 0.25)
 
 
+def test_paths_compare_and_hash_by_identity():
+    """Two lifts of the same nodes are two paths; comparing them does not
+    ask numpy for the truth value of an array."""
+    grid = TimeGrid.uniform(4)
+    p, q = horizontal_lift(np.zeros((5, 2)), grid), horizontal_lift(np.zeros((5, 2)), grid)
+    assert p == p
+    assert p != q
+    assert {p} == {p} and len({p, q}) == 2
+
+
 def test_csv_round_trip_is_exact():
     """simulate's table reads back as the path it was written from."""
     table = EXPERIMENTS["simulate"].run(

@@ -106,23 +106,28 @@ def _bits(values):
 _FRESH_IMPORT = """
 import json, sys
 import heis.cli
-from heis.results import _betaincinv, clopper_pearson_lower
+from heis import results
+deferred = [m for m in sys.modules
+            if m.split(".")[0] == "scipy" or m in ("heis.density", "numpy.polynomial")]
+bits = [results.clopper_pearson_lower(k, n).hex() for k, n in json.loads(sys.argv[1])]
 absent = [m for m in ("scipy.special", "numpy.f2py", "numpy.testing") if m in sys.modules]
 stubs = [m for m in sys.modules if m.startswith("scipy.special")]
-bits = [clopper_pearson_lower(k, n).hex() for k, n in json.loads(sys.argv[1])]
 import scipy.special
-print(json.dumps([absent, stubs, bits, _betaincinv is scipy.special.betaincinv]))
+print(json.dumps([deferred, absent, stubs, bits,
+                  results._load_betaincinv() is scipy.special.betaincinv]))
 """
 
 
 def test_a_fresh_import_loads_only_the_ufunc_with_the_same_bits():
-    """Under pytest scipy.special is imported already, so only a fresh
-    interpreter takes the route that skips scipy.special's package import."""
+    """`import heis.cli` loads no scipy, heis.density or numpy.polynomial;
+    the first clopper_pearson_lower loads only the ufunc, and its bits are
+    those of scipy.special.betaincinv. Under pytest scipy.special is imported
+    already, so only a fresh interpreter takes this route."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT, json.dumps(_SPREAD)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    loaded, left, bits, same = json.loads(proc.stdout)
-    assert loaded == [] and left == []
+    deferred, loaded, left, bits, same = json.loads(proc.stdout)
+    assert deferred == [] and loaded == [] and left == []
     assert bits == _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD)
     assert same
 
@@ -131,15 +136,21 @@ def test_a_failed_fast_route_falls_back_to_scipy_special(monkeypatch):
     import scipy.special
     expected = _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD)
     kept = {m for m in sys.modules if m.startswith("scipy.special.")}
+    tried = []
 
     def fails(name, package=None):
+        tried.append(name)
         raise ImportError(f"no spec for {name}")
 
     monkeypatch.setattr(importlib.util, "find_spec", fails)
     monkeypatch.setattr(scipy, "special", scipy.special)  # the fallback re-imports it
     monkeypatch.delitem(sys.modules, "scipy.special")  # so the loader tries find_spec
-    monkeypatch.setattr(results, "_betaincinv", results._load_betaincinv())
-    assert _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD) == expected
+    results._load_betaincinv.cache_clear()
+    try:
+        assert _bits(clopper_pearson_lower(k, n) for k, n in _SPREAD) == expected
+    finally:
+        results._load_betaincinv.cache_clear()
+    assert tried == ["scipy.special._ufuncs"]
     assert kept <= set(sys.modules)  # only what the loader added left sys.modules
 
 

@@ -28,7 +28,12 @@ getrusage(RUSAGE_CHILDREN), and the medians of the raw import_s and of the
 calibration over the run's operations, parsed from run.py's `op N: ...`
 stderr lines: perfbench scales setup_s (and every time) by the calibration,
 so a setup_s move with an unmoved raw import is the calibration's. It also
-records each side's line count of src/heis/*.py (heis_lines). The output
+records each side's line count of src/heis/*.py (heis_lines), and a cold
+import probe: the median seconds, peak resident set and module count of a
+few fresh `import heis.cli` processes per side, alternating sides, and
+whether any of them loaded scipy. `machine` says whether bytecode writing
+was off (PYTHONDONTWRITEBYTECODE); with it off, every import compiles
+src/heis, so setup_s includes that compile. The output
 keeps BENCH_6.json's layout:
 per workload the runs of each side, their median and quartiles, the pairs the
 change won, the median change and the median gap over the parent's
@@ -112,6 +117,43 @@ def lay_out(source, names, dest):
 def heis_lines(checkout):
     """Lines of src/heis/*.py in a checkout, counted as `wc -l` counts them."""
     return sum(f.read_bytes().count(b"\n") for f in (Path(checkout) / "src" / "heis").glob("*.py"))
+
+
+IMPORT_PROBE_RUNS = 7
+
+# One fresh `import heis.cli` from the src directory argv[1].
+_IMPORT_PROBE = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import heis.cli
+seconds = time.perf_counter() - t0
+if not heis.cli.__file__.startswith(sys.argv[1]):
+    raise SystemExit(f"imported heis from {heis.cli.__file__}, not from {sys.argv[1]}")
+print(json.dumps([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, len(sys.modules),
+                  any(m.split(".")[0] == "scipy" for m in sys.modules)]))
+"""
+
+
+def import_probe(sides):
+    """Per side, medians over IMPORT_PROBE_RUNS fresh `import heis.cli`
+    processes, run alternately on the two sides with perfbench's one-thread
+    BLAS environment, and whether any of them loaded a scipy module."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    samples = {side: [] for side in sides}
+    for k in range(IMPORT_PROBE_RUNS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(sides[side] / "src")],
+                                 cwd=sides[side], env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            samples[side].append(json.loads(out))
+    return {side: {"runs": len(rows),
+                   "import_s": round(statistics.median(r[0] for r in rows), 4),
+                   "maxrss_mib": round(statistics.median(r[1] for r in rows) / 1024, 2),
+                   "modules": statistics.median(r[2] for r in rows),
+                   "scipy_loaded": any(r[3] for r in rows)}
+            for side, rows in samples.items()}
 
 
 def children_usage():
@@ -296,8 +338,12 @@ def main():
                   "nivcsw_per_op divides it likewise; "
                   "import_s_raw_median and calibration_s_median are per run the medians of "
                   "the unscaled import seconds and of the calibration seconds that run.py "
-                  "prints per operation on stderr; run.py scales setup_s by the calibration",
-        "machine": {"nproc": os.cpu_count(), "cpu": cpu_name(), **versions()},
+                  "prints per operation on stderr; run.py scales setup_s by the calibration; "
+                  "import_probe is per side the medians of the seconds, ru_maxrss and module "
+                  f"count of {IMPORT_PROBE_RUNS} fresh `import heis.cli` processes, alternating "
+                  "sides, and whether any loaded scipy",
+        "machine": {"nproc": os.cpu_count(), "cpu": cpu_name(), **versions(),
+                    "bytecode_writing_off": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
     }
     if args.claim:
         workload, _, metric = args.claim.partition(":")
@@ -316,6 +362,7 @@ def main():
                 sides["change"])
         shutil.rmtree(staging)
         record["heis_lines"] = {side: heis_lines(path) for side, path in sides.items()}
+        record["import_probe"] = import_probe(sides)
         for name, pairs in plan:
             seeds = list(range(seed, seed + pairs))
             seed += pairs
